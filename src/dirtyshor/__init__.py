@@ -1,11 +1,12 @@
 """Toffoli-based modular arithmetic on dirty ancillae, with a factoring driver.
 
-Layering, bottom up: `circuits` (gate IR, sinks, lowering), `revsim`
-(bit-packed reversible simulation), `adders` (carry / incrementer /
-constant adder on borrowed qubits), `modular` (modular adder and the
-2n+2-qubit controlled multiplier), `resources` (counts, depth, scaling
-fits), `shor` (statevector backend and semiclassical factoring loop),
-`faultlab` (fault injection and bisection localization), `cli`.
+Layering, bottom up: `circuits` (gate IR, sinks, lowering, the one
+`emit_circuit` dispatch), `revsim` (simulators as sinks), `adders`
+(carry / incrementer / constant adder on borrowed qubits), `modular`
+(modular adder and the 2n+2-qubit controlled multiplier), `resources`
+(counts, depth, scaling fits), `shor` (statevector backend and
+semiclassical factoring loop), `faultlab` (fault injection and bisection
+localization), `cli`.
 """
 
 from .adders import (
@@ -29,7 +30,6 @@ from .circuits import (
     RegisterMap,
     circuit_from_text,
     circuit_to_text,
-    lower_multi_controlled,
 )
 from .faultlab import (
     FaultSpec,
@@ -57,7 +57,7 @@ from .resources import (
     scaling_table,
     shor_projection,
 )
-from .revsim import BasisState, SimulationError, permutation_table, prefix_states, run, trace
+from .revsim import BasisState, SimulationError, permutation_table, prefix_states, run
 from .shor import (
     ShorOutcome,
     ShorRun,

@@ -375,7 +375,7 @@ def carry_circuit(c: int, a, g, target: int, ctrls=(), width: int | None = None)
 
     g must offer n-1 dirty rungs (restored). With k controls the two target
     reads become (k+1)-fold controlled; at two controls that is an MCX the
-    caller lowers with lower_multi_controlled.
+    caller lowers, for example by emitting the circuit into a LoweringSink.
     """
     a, g, ctrls = tuple(a), tuple(g), tuple(ctrls)
     _require_disjoint(a=a, g=g, target=(target,), ctrls=ctrls)

@@ -4,8 +4,9 @@ Circuits are flat gate lists over qubits indexed 0..width-1, little endian
 (qubit i of a register carries weight 2**i). The reversible-pure subset is
 X / CX / CCX / MCX; H, PHASE and MEASURE exist only so the phase estimation
 driver can express its semiclassical loop. Synthesis routines emit into any
-"sink" exposing x/cx/ccx/mcx methods, which lets counting, simulation and
-materialization share one emission pass.
+"sink" exposing x/cx/ccx/mcx methods, and emit_circuit replays a stored
+circuit into one, so counting, simulation, lowering and materialization
+share one dispatch.
 """
 from __future__ import annotations
 
@@ -98,12 +99,8 @@ class Circuit:
 
     def mcx(self, controls: tuple[int, ...], t: int) -> None:
         controls = tuple(controls)
-        if len(controls) == 0:
-            self.x(t)
-        elif len(controls) == 1:
-            self.cx(controls[0], t)
-        elif len(controls) == 2:
-            self.ccx(controls[0], controls[1], t)
+        if len(controls) <= 2:
+            emit_controlled_x(self, controls, t)
         else:
             self.append(Gate(GateKind.MCX, controls, t))
 
@@ -359,18 +356,24 @@ class LoweringSink:
         emit_mcx(self.sink, controls, t, dirty)
 
 
-def emit_circuit(circuit: Circuit, sink) -> None:
-    """Replay a materialized reversible circuit into a sink."""
-    for g in circuit.gates:
-        k = g.kind
-        if k == GateKind.CX:
-            sink.cx(g.controls[0], g.target)
-        elif k == GateKind.CCX:
-            sink.ccx(g.controls[0], g.controls[1], g.target)
-        elif k == GateKind.X:
-            sink.x(g.target)
-        elif k == GateKind.MCX:
-            sink.mcx(g.controls, g.target)
+def emit_circuit(circuit: Circuit, sink, lo: int = 0, hi: int | None = None) -> None:
+    """Replay gates [lo, hi) of a materialized circuit into a sink.
+
+    This is the one GateKind -> sink dispatch: simulators, counters and the
+    MCX lowering all receive stored gates through it.
+    """
+    x, cx, ccx, mcx = sink.x, sink.cx, sink.ccx, sink.mcx
+    X, CX, CCX, MCX = GateKind.X, GateKind.CX, GateKind.CCX, GateKind.MCX
+    gates = circuit.gates if lo == 0 and hi is None else circuit.gates[lo:hi]
+    for k, c, t, _ in gates:
+        if k == CCX:
+            ccx(c[0], c[1], t)
+        elif k == CX:
+            cx(c[0], t)
+        elif k == X:
+            x(t)
+        elif k == MCX:
+            mcx(c, t)
         else:
             raise CircuitError(f"cannot replay {k.name} into a gate sink")
 
@@ -388,14 +391,8 @@ def emit_mcx(sink, controls: tuple[int, ...], target: int, dirty: int | None = N
     the cost grows as 4**(k-2); the artifact itself never emits k > 3.
     """
     k = len(controls)
-    if k == 0:
-        sink.x(target)
-        return
-    if k == 1:
-        sink.cx(controls[0], target)
-        return
-    if k == 2:
-        sink.ccx(controls[0], controls[1], target)
+    if k <= 2:
+        emit_controlled_x(sink, controls, target)
         return
     if dirty is None:
         raise CircuitError(f"lowering a {k}-controlled NOT needs a dirty qubit")
@@ -414,26 +411,6 @@ def emit_mcx(sink, controls: tuple[int, ...], target: int, dirty: int | None = N
         emit_mcx(sink, head, dirty, target)
         sink.ccx(tail, dirty, target)
         emit_mcx(sink, head, dirty, target)
-
-
-def lower_multi_controlled(circuit: Circuit, dirty_pool: Iterable[int]) -> Circuit:
-    """Rewrite every MCX with >= 3 controls into Toffolis.
-
-    Each lowered gate borrows the first pool qubit it does not touch; the
-    borrowed qubit may hold any value and is restored.
-    """
-    pool = tuple(dirty_pool)
-    out = Circuit(circuit.width, tag=circuit.tag)
-    for g in circuit.gates:
-        if g.kind == GateKind.MCX and len(g.controls) >= 3:
-            used = set(g.qubits())
-            dirty = next((q for q in pool if q not in used), None)
-            if dirty is None:
-                raise CircuitError("no pool qubit free of the MCX being lowered")
-            emit_mcx(out, g.controls, g.target, dirty)
-        else:
-            out.append(g)
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -480,18 +457,6 @@ class RegisterMap:
         for i, q in enumerate(self.registers[name]):
             state = (state & ~(1 << q)) | (((value >> i) & 1) << q)
         return state
-
-    def borrow(self, count: int, from_registers: Iterable[str], exclude: Iterable[int] = ()) -> tuple[int, ...]:
-        """Hand out `count` currently-idle qubits from the named registers."""
-        off = set(exclude)
-        picked: list[int] = []
-        for name in from_registers:
-            for q in self.registers[name]:
-                if q not in off:
-                    picked.append(q)
-                    if len(picked) == count:
-                        return tuple(picked)
-        raise CircuitError(f"cannot borrow {count} qubits, only {len(picked)} idle")
 
 
 # --------------------------------------------------------------------------

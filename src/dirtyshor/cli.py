@@ -15,9 +15,10 @@ from .circuits import (
     Circuit,
     CircuitError,
     GateKind,
+    LoweringSink,
     circuit_from_text,
     circuit_to_text,
-    lower_multi_controlled,
+    emit_circuit,
 )
 from .faultlab import (
     FaultError,
@@ -112,7 +113,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         build = carry_circuit if kind == "carry" else comparator
         circ = build(args.c, a, g, target, ctrls)
         if any(gt.kind == GateKind.MCX for gt in circ.gates):
-            circ = lower_multi_controlled(circ, a)
+            lowered = Circuit(circ.width, tag=circ.tag)
+            emit_circuit(circ, LoweringSink(lowered, a))
+            circ = lowered
     elif kind in ("add", "cadd"):
         _require(args, ("n", "c"), kind)
         n_ctrls = args.ctrls if kind == "cadd" else 0
@@ -230,6 +233,7 @@ _KNOWN_ERRORS = (
     InconclusiveError,
     ValueError,
     OSError,
+    MemoryError,
 )
 
 

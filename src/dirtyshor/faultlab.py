@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, CircuitError, GateKind
-from .revsim import BasisState, prefix_states
+from .circuits import Circuit, CircuitError, StateSink, emit_circuit
+from .revsim import BasisState, prefix_states, run
 
 _FAULT_KINDS = ("missing", "bitflip")
 
@@ -97,36 +97,31 @@ class SegmentExecutor:
             if f.kind == "bitflip":
                 flips[f.index] = flips.get(f.index, 0) ^ (1 << f.qubit)
         self._flips = flips
-        self._gates = circuit.gates
+        self._marks = sorted(self._missing | flips.keys())
+        self._circuit = circuit
 
     def run(self, lo: int, hi: int, state: int) -> int:
-        """Apply gates [lo, hi) with faults realized; one counted call."""
+        """Apply gates [lo, hi) with faults realized; one counted call.
+
+        The fault-free stretches between fault indices go to one StateSink;
+        a missing gate is left out and a bitflip lands after its gate.
+        """
         if not 0 <= lo <= hi <= self.n_gates:
             raise FaultError(f"range [{lo}, {hi}) outside 0..{self.n_gates}")
         self.calls += 1
-        missing = self._missing
-        flips = self._flips
-        for idx in range(lo, hi):
-            if idx not in missing:
-                g = self._gates[idx]
-                k = g.kind
-                if k == GateKind.CCX:
-                    c1, c2 = g.controls
-                    if (state >> c1) & 1 and (state >> c2) & 1:
-                        state ^= 1 << g.target
-                elif k == GateKind.CX:
-                    if (state >> g.controls[0]) & 1:
-                        state ^= 1 << g.target
-                elif k == GateKind.X:
-                    state ^= 1 << g.target
-                elif k == GateKind.MCX:
-                    if all((state >> c) & 1 for c in g.controls):
-                        state ^= 1 << g.target
-                else:
-                    raise FaultError(f"cannot execute {k.name} segment")
-            if idx in flips:
-                state ^= flips[idx]
-        return state
+        sink = StateSink(state)
+        start = lo
+        try:
+            for idx in self._marks:
+                if lo <= idx < hi:
+                    end = idx if idx in self._missing else idx + 1
+                    emit_circuit(self._circuit, sink, start, end)
+                    sink.state ^= self._flips.get(idx, 0)
+                    start = idx + 1
+            emit_circuit(self._circuit, sink, start, hi)
+        except CircuitError as exc:
+            raise FaultError(f"cannot execute segment: {exc}") from exc
+        return sink.state
 
 
 def inject(circuit: Circuit, faults) -> SegmentExecutor:
@@ -145,7 +140,7 @@ def call_bound(n_gates: int, n_vectors: int) -> int:
 def fault_detect(executor: SegmentExecutor, circuit: Circuit, vectors) -> bool:
     """True iff some vector's full-range output differs from fault-free sim."""
     for v in _values(vectors):
-        golden = prefix_states(circuit, v)[-1]
+        golden = run(circuit, v)
         if executor.run(0, executor.n_gates, v) != golden:
             return True
     return False

@@ -5,14 +5,16 @@ machine-word work per 64 qubits and registers of thousands of qubits stay
 cheap. permutation_table vectorizes the same semantics over every basis
 state at once for small widths, which is what exhaustive tests and the
 phase estimation driver use.
+
+Each simulator is a sink fed by circuits.emit_circuit.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .circuits import Circuit, CircuitError, Gate, GateKind, RegisterMap
+from .circuits import Circuit, CircuitError, RegisterMap, StateSink, emit_circuit
 
 _PERM_WIDTH_CAP = 22  # 2**22 int64 entries = 32 MiB, enough for every test
 
@@ -57,25 +59,11 @@ class BasisState:
         return f"BasisState(width={self.width}, value={self.value:#x})"
 
 
-def apply_gate(gate: Gate, state: int) -> int:
-    k = gate.kind
-    if k == GateKind.CX:
-        if (state >> gate.controls[0]) & 1:
-            state ^= 1 << gate.target
-    elif k == GateKind.CCX:
-        c1, c2 = gate.controls
-        if (state >> c1) & 1 and (state >> c2) & 1:
-            state ^= 1 << gate.target
-    elif k == GateKind.X:
-        state ^= 1 << gate.target
-    elif k == GateKind.MCX:
-        for c in gate.controls:
-            if not (state >> c) & 1:
-                return state
-        state ^= 1 << gate.target
-    else:
-        raise SimulationError(f"{k.name} is not a reversible-pure gate")
-    return state
+def _emit(circuit: Circuit, sink) -> None:
+    try:
+        emit_circuit(circuit, sink)
+    except CircuitError as exc:
+        raise SimulationError(str(exc)) from exc
 
 
 def run(circuit: Circuit, state: int | BasisState) -> int | BasisState:
@@ -84,61 +72,44 @@ def run(circuit: Circuit, state: int | BasisState) -> int | BasisState:
     s = state.value if wrapped else state
     if s >> circuit.width:
         raise SimulationError("state has bits beyond the circuit width")
-    # inlined dispatch, this loop is the throughput path
-    for g in circuit.gates:
-        k = g.kind
-        if k == GateKind.CX:
-            if (s >> g.controls[0]) & 1:
-                s ^= 1 << g.target
-        elif k == GateKind.CCX:
-            c = g.controls
-            if (s >> c[0]) & 1 and (s >> c[1]) & 1:
-                s ^= 1 << g.target
-        elif k == GateKind.X:
-            s ^= 1 << g.target
-        elif k == GateKind.MCX:
-            for c in g.controls:
-                if not (s >> c) & 1:
-                    break
-            else:
-                s ^= 1 << g.target
-        else:
-            raise SimulationError(f"{k.name} is not a reversible-pure gate")
+    sink = StateSink(s)
+    _emit(circuit, sink)
     if wrapped:
-        return BasisState(state.width, s, state.regs)
-    return s
+        return BasisState(state.width, sink.state, state.regs)
+    return sink.state
 
 
-def trace(circuit: Circuit, state: int, checkpoints: Sequence[int]) -> list[int]:
-    """States after the first k gates, for each checkpoint k (ascending).
+class _PrefixSink(StateSink):
+    """StateSink that also appends the state after every gate to a list."""
 
-    checkpoint k = 0 is the input state; k = len(circuit) the output. This
-    is the oracle fault bisection compares segment runs against.
-    """
-    pts = list(checkpoints)
-    if pts != sorted(pts):
-        raise SimulationError("checkpoints must be ascending")
-    if pts and (pts[0] < 0 or pts[-1] > len(circuit.gates)):
-        raise SimulationError("checkpoint out of range")
-    out: list[int] = []
-    s = state
-    i = 0
-    for k in pts:
-        while i < k:
-            s = apply_gate(circuit.gates[i], s)
-            i += 1
-        out.append(s)
-    return out
+    __slots__ = ("states",)
+
+    def __init__(self, state: int):
+        super().__init__(state)
+        self.states = [state]
+
+    def x(self, t: int) -> None:
+        StateSink.x(self, t)
+        self.states.append(self.state)
+
+    def cx(self, c: int, t: int) -> None:
+        StateSink.cx(self, c, t)
+        self.states.append(self.state)
+
+    def ccx(self, c1: int, c2: int, t: int) -> None:
+        StateSink.ccx(self, c1, c2, t)
+        self.states.append(self.state)
+
+    def mcx(self, controls: tuple[int, ...], t: int) -> None:
+        StateSink.mcx(self, controls, t)
+        self.states.append(self.state)
 
 
 def prefix_states(circuit: Circuit, state: int) -> list[int]:
     """All len(circuit)+1 prefix states in one pass."""
-    out = [state]
-    s = state
-    for g in circuit.gates:
-        s = apply_gate(g, s)
-        out.append(s)
-    return out
+    sink = _PrefixSink(state)
+    _emit(circuit, sink)
+    return sink.states
 
 
 class PermSink:
@@ -173,18 +144,7 @@ class PermSink:
 def permutation_table(circuit: Circuit) -> np.ndarray:
     """perm[s] = circuit(s) for every basis state s; width-capped."""
     sink = PermSink(circuit.width)
-    for g in circuit.gates:
-        k = g.kind
-        if k == GateKind.CX:
-            sink.cx(g.controls[0], g.target)
-        elif k == GateKind.CCX:
-            sink.ccx(g.controls[0], g.controls[1], g.target)
-        elif k == GateKind.X:
-            sink.x(g.target)
-        elif k == GateKind.MCX:
-            sink.mcx(g.controls, g.target)
-        else:
-            raise SimulationError(f"{k.name} is not a reversible-pure gate")
+    _emit(circuit, sink)
     return sink.vals
 
 

@@ -103,20 +103,20 @@ class Statevector:
         self._view(q)[:, 1, :] *= cmath.exp(1j * theta)
         self._check_norm()
 
-    def probability(self, q: int) -> float:
-        """P(qubit q measures 1)."""
-        v = self._view(q)[:, 1, :]
+    def probability(self, q: int, bit: int = 1) -> float:
+        """P(qubit q measures bit), summed from that branch's own amplitudes."""
+        v = self._view(q)[:, bit, :]
         return float(np.sum(v.real**2 + v.imag**2))
 
     def measure(self, q: int, rng: np.random.Generator | None = None, forced: int | None = None) -> int:
-        p1 = self.probability(q)
         if forced is not None:
             bit = forced
         else:
             if rng is None:
                 raise SimulationError("measurement needs an rng or a forced outcome")
-            bit = 1 if rng.random() < p1 else 0
-        p = p1 if bit else 1.0 - p1
+            bit = 1 if rng.random() < self.probability(q) else 0
+        # the kept branch's own mass; 1 - p1 cancels catastrophically when p1 is near 1
+        p = self.probability(q, bit)
         if p <= 0.0:
             raise SimulationError(f"outcome {bit} on qubit {q} has zero probability")
         v = self._view(q)
@@ -257,8 +257,8 @@ def exact_outcome_distribution(N: int, a: int, mode: str = "serial") -> dict[int
         sv.apply_permutation(tables[t - 1 - i])
         sv.phase_shift(semiclassical_angle(i, bits), ctrl)
         sv.hadamard(ctrl)
-        p1 = sv.probability(ctrl)
-        for m, p in ((0, 1.0 - p1), (1, p1)):
+        for m in (0, 1):
+            p = sv.probability(ctrl, m)
             if p <= 1e-18:
                 continue
             nxt = sv.copy()

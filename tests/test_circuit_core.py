@@ -18,7 +18,6 @@ from dirtyshor.circuits import (
     circuit_to_text,
     emit_circuit,
     emit_mcx,
-    lower_multi_controlled,
 )
 from dirtyshor.revsim import check_restores, permutation_table, run
 
@@ -128,10 +127,16 @@ def test_extend_rejects_wider():
 # MCX lowering
 
 
+def _lower(circ: Circuit, pool) -> Circuit:
+    out = Circuit(circ.width)
+    emit_circuit(circ, LoweringSink(out, pool))
+    return out
+
+
 def test_lower_three_controls_is_four_toffolis():
     circ = Circuit(5)
     circ.mcx((0, 1, 2), 3)
-    low = lower_multi_controlled(circ, (4,))
+    low = _lower(circ, (4,))
     assert [g.kind for g in low.gates] == [GateKind.CCX] * 4
 
 
@@ -139,7 +144,7 @@ def test_lowered_mcx_equivalent_and_restores_dirty():
     # exhaustive over all 2^5 inputs covers both dirty values 0 and 1
     circ = Circuit(5)
     circ.mcx((0, 1, 2), 3)
-    low = lower_multi_controlled(circ, (4,))
+    low = _lower(circ, (4,))
     want = permutation_table(circ)
     got = permutation_table(low)
     assert (want == got).all()
@@ -150,7 +155,7 @@ def test_lowering_leaves_mcx_free_circuit_unchanged():
     circ = Circuit(3)
     circ.ccx(0, 1, 2)
     circ.x(0)
-    low = lower_multi_controlled(circ, (0,))
+    low = _lower(circ, (0,))
     assert low.gates == circ.gates
 
 
@@ -158,13 +163,13 @@ def test_lowering_needs_untouched_pool_qubit():
     circ = Circuit(4)
     circ.mcx((0, 1, 2), 3)
     with pytest.raises(CircuitError):
-        lower_multi_controlled(circ, (0, 3))
+        _lower(circ, (0, 3))
 
 
 def test_lowering_four_controls():
     circ = Circuit(6)
     circ.mcx((0, 1, 2, 3), 4)
-    low = lower_multi_controlled(circ, (5,))
+    low = _lower(circ, (5,))
     assert low.reversible_pure
     assert all(g.kind == GateKind.CCX for g in low.gates)
     assert (permutation_table(circ) == permutation_table(low)).all()
@@ -314,10 +319,3 @@ def test_register_map_rejects_overlap_and_range():
     with pytest.raises(CircuitError):
         RegisterMap(width=4, registers={"a": (0,)}, clean=("zz",))
 
-
-def test_register_map_borrow():
-    rm = _regmap()
-    assert rm.borrow(2, ["a", "g"]) == (0, 1)
-    assert rm.borrow(2, ["a", "g"], exclude=(0, 1, 2)) == (3, 4)
-    with pytest.raises(CircuitError):
-        rm.borrow(4, ["g"])

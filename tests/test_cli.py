@@ -2,6 +2,7 @@
 
 import pytest
 
+from dirtyshor import resources
 from dirtyshor.adders import t_add_recursion
 from dirtyshor.cli import main
 
@@ -124,6 +125,17 @@ def test_scale_rejects_unsorted_sizes(capsys):
     code, _, err = _run(capsys, ["scale", "--harness", "adder", "--sizes", "16,8"])
     assert code == 1
     assert "ascending" in err
+
+
+def test_scale_reports_memory_error(monkeypatch, capsys):
+    def harness(n, mode, rng, verify):
+        raise MemoryError(f"out of memory at n={n}")
+
+    monkeypatch.setitem(resources._HARNESSES, "adder", harness)
+    code, out, err = _run(capsys, ["scale", "--harness", "adder", "--sizes", "8"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: out of memory at n=8\n"
 
 
 # --------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirtyshor.adders import AdderSpec, const_adder
-from dirtyshor.circuits import Circuit
+from dirtyshor.circuits import Circuit, Gate, GateKind
 from dirtyshor.faultlab import (
     FaultError,
     FaultSpec,
@@ -104,6 +106,70 @@ def test_executor_handles_all_reversible_kinds():
     circ.mcx((0, 1, 2), 3)
     ex = inject(circ, [])
     assert ex.run(0, 4, 0) == 0b1111
+    assert ex.calls == 1
+
+
+def _reference_run(circ: Circuit, faults, lo: int, hi: int, state: int) -> int:
+    """Gate-by-gate faulty execution: skip missing gates, flip after the gate."""
+    missing = {f.index for f in faults if f.kind == "missing"}
+    for idx in range(lo, hi):
+        _, controls, target, _ = circ.gates[idx]
+        if idx not in missing and all((state >> c) & 1 for c in controls):
+            state ^= 1 << target
+        for f in faults:
+            if f.kind == "bitflip" and f.index == idx:
+                state ^= 1 << f.qubit
+    return state
+
+
+def test_executor_fault_edges_match_reference():
+    circ = const_adder(AdderSpec.standard(3, 5))
+    circ.append(Gate(GateKind.MCX, (0, 1, 2), 3))
+    last = len(circ.gates) - 1
+    fault_sets = [
+        [FaultSpec("missing", 4), FaultSpec("bitflip", 4, 1)],  # both kinds at one index
+        [FaultSpec("missing", 6), FaultSpec("missing", 7), FaultSpec("bitflip", 8, 0)],  # adjacent
+        [FaultSpec("bitflip", 0, 2), FaultSpec("missing", last)],  # first and last gate
+        [FaultSpec("missing", last), FaultSpec("bitflip", last, 4)],
+    ]
+    for faults in fault_sets:
+        ex = inject(circ, faults)
+        # all (lo, hi) pairs: each fault sits at lo, at hi - 1 and at hi in some range
+        for lo in range(len(circ.gates) + 1):
+            for hi in range(lo, len(circ.gates) + 1):
+                for state in (0, 0b10110, 0b11111):
+                    assert ex.run(lo, hi, state) == _reference_run(circ, faults, lo, hi, state)
+
+
+@st.composite
+def _faulty_segment(draw):
+    width = draw(st.integers(5, 7))
+    circ = Circuit(width)
+    for _ in range(draw(st.integers(1, 20))):
+        qubits = draw(st.permutations(range(width)))
+        k = draw(st.integers(0, 4))
+        kind = (GateKind.X, GateKind.CX, GateKind.CCX, GateKind.MCX, GateKind.MCX)[k]
+        circ.append(Gate(kind, tuple(qubits[:k]), qubits[k]))
+    n_gates = len(circ.gates)
+    faults = []
+    for _ in range(draw(st.integers(0, 4))):
+        idx = draw(st.integers(0, n_gates - 1))
+        if draw(st.booleans()):
+            faults.append(FaultSpec("missing", idx))
+        else:
+            faults.append(FaultSpec("bitflip", idx, draw(st.integers(0, width - 1))))
+    lo = draw(st.integers(0, n_gates))
+    hi = draw(st.integers(lo, n_gates))
+    state = draw(st.integers(0, (1 << width) - 1))
+    return circ, faults, lo, hi, state
+
+
+@settings(max_examples=80, deadline=None)
+@given(_faulty_segment())
+def test_executor_random_faults_match_reference(case):
+    circ, faults, lo, hi, state = case
+    ex = inject(circ, faults)
+    assert ex.run(lo, hi, state) == _reference_run(circ, faults, lo, hi, state)
     assert ex.calls == 1
 
 

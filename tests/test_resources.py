@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from dirtyshor import resources
 from dirtyshor.adders import t_add_recursion
 from dirtyshor.circuits import Circuit, CircuitError, CountingSink
 from dirtyshor.modular import ModMulSpec, emit_ctrl_modmul
@@ -89,10 +90,17 @@ def test_modmul_rows_match_direct_count():
     assert rows[0].depth == counter.depth
 
 
-def test_harness_name_aliases():
-    a = scaling_table([8], harness="modmul")
-    b = scaling_table([8], harness="ctrl_modmul")
-    assert (a[0].toffoli, a[0].depth) == (b[0].toffoli, b[0].depth)
+def test_scaling_table_memory_error_propagates(monkeypatch):
+    real = resources._HARNESSES["adder"]
+
+    def harness(n, mode, rng, verify):
+        if n == 16:
+            raise MemoryError("out of memory at n=16")
+        return real(n, mode, rng, verify)
+
+    monkeypatch.setitem(resources._HARNESSES, "adder", harness)
+    with pytest.raises(MemoryError):
+        scaling_table([8, 16, 32], harness="adder")
 
 
 def test_scaling_table_validation():

@@ -1,4 +1,4 @@
-"""Basis-state simulator: gate semantics, tracing, permutation tables, speed."""
+"""Basis-state simulator: gate semantics, prefix states, permutation tables, speed."""
 
 import time
 
@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 
 from dirtyshor.adders import AdderSpec, const_adder
 from dirtyshor.circuits import Circuit, Gate, GateKind, RegisterMap
+from dirtyshor.faultlab import SegmentExecutor
 from dirtyshor.revsim import (
     BasisState,
     SimulationError,
-    apply_gate,
     check_restores,
     permutation_table,
     prefix_states,
     run,
-    trace,
 )
 
 
@@ -67,9 +66,9 @@ def test_run_round_trips_basis_state_type():
 
 
 def test_mcx_semantics():
-    g = Gate(GateKind.MCX, (0, 1, 2), 3)
-    assert apply_gate(g, 0b0111) == 0b1111
-    assert apply_gate(g, 0b0011) == 0b0011
+    circ = Circuit(4, [Gate(GateKind.MCX, (0, 1, 2), 3)])
+    assert run(circ, 0b0111) == 0b1111
+    assert run(circ, 0b0011) == 0b0011
 
 
 def test_basis_state_register_views():
@@ -83,19 +82,6 @@ def test_basis_state_register_views():
         BasisState(4, 0, rm)
     with pytest.raises(SimulationError):
         BasisState(2, 9)
-
-
-def test_trace_checkpoints():
-    circ = Circuit(1)
-    circ.x(0)
-    circ.x(0)
-    assert trace(circ, 0, [1, 2]) == [1, 0]
-    assert trace(circ, 0, [0]) == [0]
-    assert trace(circ, 0, [len(circ.gates)]) == [run(circ, 0)]
-    with pytest.raises(SimulationError):
-        trace(circ, 0, [2, 1])
-    with pytest.raises(SimulationError):
-        trace(circ, 0, [3])
 
 
 def test_prefix_states_cover_every_gate():
@@ -120,6 +106,45 @@ def _circuit_pair(draw):
         out.append(circ)
     state = draw(st.integers(0, (1 << width) - 1))
     return out[0], out[1], state
+
+
+def reference_states(gates, state: int) -> list[int]:
+    """Per-gate reference: the state before the first gate and after each."""
+    out = [state]
+    for kind, controls, target, _ in gates:
+        assert kind in (GateKind.X, GateKind.CX, GateKind.CCX, GateKind.MCX)
+        if all((state >> c) & 1 for c in controls):
+            state ^= 1 << target
+        out.append(state)
+    return out
+
+
+@st.composite
+def random_circuit(draw, max_gates: int = 20):
+    """X/CX/CCX gates plus MCX gates with 3-4 controls, stored as MCX."""
+    width = draw(st.integers(5, 7))
+    circ = Circuit(width)
+    for _ in range(draw(st.integers(0, max_gates))):
+        qubits = draw(st.permutations(range(width)))
+        k = draw(st.integers(0, 4))
+        kind = (GateKind.X, GateKind.CX, GateKind.CCX, GateKind.MCX, GateKind.MCX)[k]
+        circ.append(Gate(kind, tuple(qubits[:k]), qubits[k]))
+    return circ
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_circuit(), st.data())
+def test_simulators_agree_with_reference(circ, data):
+    state = data.draw(st.integers(0, (1 << circ.width) - 1))
+    want = reference_states(circ.gates, state)
+    assert run(circ, state) == want[-1]
+    assert prefix_states(circ, state) == want
+    assert permutation_table(circ)[state] == want[-1]
+    ex = SegmentExecutor(circ, [])
+    lo = data.draw(st.integers(0, len(circ.gates)))
+    hi = data.draw(st.integers(lo, len(circ.gates)))
+    assert ex.run(lo, hi, want[lo]) == want[hi]
+    assert ex.calls == 1
 
 
 @settings(max_examples=60, deadline=None)

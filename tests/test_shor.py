@@ -169,6 +169,13 @@ def test_distribution_n21_a2_order_six():
         assert dist[y] > 0.11
 
 
+def test_distribution_survives_near_certain_measurements():
+    # N=21, a=4 reaches nearly certain measurements, where 1 - p1 cannot
+    # resolve the unlikely branch; renormalizing by it tripped the norm check
+    dist = exact_outcome_distribution(21, 4)
+    assert abs(sum(dist.values()) - 1.0) <= 1e-12
+
+
 def test_distribution_rejects_shared_factor():
     with pytest.raises(ValueError):
         exact_outcome_distribution(15, 6)
