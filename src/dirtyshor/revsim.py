@@ -2,9 +2,10 @@
 
 A basis state is one python int, bit i = qubit i, so a gate costs O(1)
 machine-word work per 64 qubits and registers of thousands of qubits stay
-cheap. permutation_table vectorizes the same semantics over every basis
-state at once for small widths, which is what exhaustive tests and the
-phase estimation driver use.
+cheap. permutation_table runs many basis states on bit-sliced lanes (Biham
+1997): qubit q is one python int whose bit k is lane k's qubit q, so a gate
+is one big-integer XOR across all lanes. Exhaustive tests run every state;
+the phase estimation driver runs only the inputs it can reach.
 
 Each simulator is a sink fed by circuits.emit_circuit.
 """
@@ -16,7 +17,7 @@ import numpy as np
 
 from .circuits import Circuit, CircuitError, RegisterMap, StateSink, emit_circuit
 
-_PERM_WIDTH_CAP = 22  # 2**22 int64 entries = 32 MiB, enough for every test
+_PERM_WIDTH_CAP = 22  # 2**22 lanes: 32 MiB of int64 images, enough for every test
 
 
 class SimulationError(ValueError):
@@ -112,40 +113,58 @@ def prefix_states(circuit: Circuit, state: int) -> list[int]:
     return sink.states
 
 
-class PermSink:
-    """Streams gates over all 2**width basis states at once (numpy int64)."""
+class LaneSink:
+    """Bit-sliced gates: lanes[q] holds qubit q of every lane, one bit per lane."""
 
-    __slots__ = ("vals",)
+    __slots__ = ("lanes", "full")
 
-    def __init__(self, width: int):
-        if width > _PERM_WIDTH_CAP:
-            raise SimulationError(f"permutation table capped at width {_PERM_WIDTH_CAP}")
-        self.vals = np.arange(1 << width, dtype=np.int64)
+    def __init__(self, lanes: list[int], full: int):
+        self.lanes = lanes
+        self.full = full
 
     def x(self, t: int) -> None:
-        self.vals ^= 1 << t
+        self.lanes[t] ^= self.full
 
     def cx(self, c: int, t: int) -> None:
-        v = self.vals
-        v ^= ((v >> c) & 1) << t
+        lanes = self.lanes
+        lanes[t] ^= lanes[c]
 
     def ccx(self, c1: int, c2: int, t: int) -> None:
-        v = self.vals
-        v ^= ((v >> c1) & (v >> c2) & 1) << t
+        lanes = self.lanes
+        lanes[t] ^= lanes[c1] & lanes[c2]
 
     def mcx(self, controls: tuple[int, ...], t: int) -> None:
-        v = self.vals
-        acc = (v >> controls[0]) & 1
+        lanes = self.lanes
+        acc = lanes[controls[0]]
         for c in controls[1:]:
-            acc &= (v >> c) & 1
-        v ^= acc << t
+            acc &= lanes[c]
+        lanes[t] ^= acc
 
 
-def permutation_table(circuit: Circuit) -> np.ndarray:
-    """perm[s] = circuit(s) for every basis state s; width-capped."""
-    sink = PermSink(circuit.width)
-    _emit(circuit, sink)
-    return sink.vals
+def permutation_table(circuit: Circuit, inputs: np.ndarray | None = None) -> np.ndarray:
+    """Images of the given int64 basis states, one lane each, capped at
+    2**22 lanes; without inputs, perm[s] = circuit(s) for all 2**width s."""
+    if inputs is None:
+        if circuit.width > _PERM_WIDTH_CAP:
+            raise SimulationError(f"permutation table capped at width {_PERM_WIDTH_CAP}")
+        inputs = np.arange(1 << circuit.width, dtype=np.int64)
+    inputs = np.asarray(inputs, dtype=np.int64)
+    count = len(inputs)
+    if count > 1 << _PERM_WIDTH_CAP:
+        raise SimulationError(f"permutation table capped at {1 << _PERM_WIDTH_CAP} inputs")
+    if count and (inputs.min() < 0 or inputs.max() >> circuit.width):
+        raise SimulationError("input states have bits beyond the circuit width")
+    # pack and unpack one qubit at a time, never a count x width bit matrix
+    lanes = [int.from_bytes(np.packbits((inputs >> q) & 1, bitorder="little").tobytes(), "little")
+             for q in range(circuit.width)]
+    _emit(circuit, LaneSink(lanes, (1 << count) - 1))
+    out = np.zeros(count, dtype=np.int64)
+    nbytes = (count + 7) // 8
+    for q, lane in enumerate(lanes):
+        bits = np.unpackbits(np.frombuffer(lane.to_bytes(nbytes, "little"), dtype=np.uint8),
+                             count=count, bitorder="little")
+        out |= bits.astype(np.int64) << q
+    return out
 
 
 def check_restores(perm: np.ndarray, qubits: Iterable[int]) -> bool:

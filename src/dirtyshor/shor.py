@@ -68,18 +68,13 @@ class Statevector:
         return self.amps.reshape(-1, 2, 1 << q)
 
     def apply_controlled_x(self, controls: tuple[int, ...], target: int) -> None:
-        idx = np.arange(len(self.amps), dtype=np.int64)
-        flip = np.int64(1 << target)
         if not controls:
-            src = idx ^ flip
+            v = self._view(target)
+            v[:, [0, 1], :] = v[:, [1, 0], :]
         else:
-            cmask = np.int64(0)
-            for c in controls:
-                cmask |= np.int64(1 << c)
-            src = idx.copy()
-            sel = (idx & cmask) == cmask
-            src[sel] ^= flip
-        self.amps = self.amps[src]
+            idx = np.arange(len(self.amps), dtype=np.int64)
+            cmask = sum(1 << c for c in controls)
+            self.amps = self.amps[np.where(idx & cmask == cmask, idx ^ 1 << target, idx)]
         self._check_norm()
 
     def apply_permutation(self, perm: np.ndarray) -> None:
@@ -173,7 +168,8 @@ def semiclassical_angle(k: int, bits) -> float:
 @dataclass(frozen=True)
 class ShorRun:
     """One period-finding attempt: measured bits (m_0 least significant),
-    the outcome y, the order candidate and any factors it yielded."""
+    the outcome y, the order candidate, any factors it yielded and the
+    2n+2 qubits of the circuit it simulates."""
 
     N: int
     a: int
@@ -186,11 +182,27 @@ class ShorRun:
 
 
 def _multiplier_tables(N: int, a: int, count: int, mode: str) -> list[np.ndarray]:
+    """Per constant c, the multiplier as a permutation of x (qubits 0..n-1)
+    and ctrl (qubit n). Its circuit runs on the 2N inputs phase estimation
+    can reach (x < N, work = ind = 0) and must return work and ind to 0,
+    keep ctrl, and map x to c*x mod N under ctrl and to x without."""
+    n = N.bit_length()
+    x = np.arange(N, dtype=np.int64)
+    ctrl = np.int64(1) << (2 * n + 1)
+    inputs = np.concatenate([x, x | ctrl])
+    half = 1 << n
     cache: dict[int, np.ndarray] = {}
     tables = []
     for c in multiplier_constants(a, N, count):
         if c not in cache:
-            cache[c] = permutation_table(ctrl_modmul_inplace(ModMulSpec.standard(c, N, mode)))
+            out = permutation_table(ctrl_modmul_inplace(ModMulSpec.standard(c, N, mode)), inputs)
+            bad = np.flatnonzero(out != np.concatenate([x, x * c % N | ctrl]))
+            if len(bad):
+                raise SimulationError(f"multiplier by {c} mod {N} is wrong on {len(bad)} of "
+                                      f"{2 * N} reachable inputs, first {int(inputs[bad[0]]):#x}")
+            table = np.arange(2 * half, dtype=np.int64)
+            table[half:half + N] = half | out[N:] & (half - 1)
+            cache[c] = table
         tables.append(cache[c])
     return tables
 
@@ -202,7 +214,8 @@ def shor_period_finding(
     rng: np.random.Generator | None = None,
     mode: str = "serial",
 ) -> ShorRun:
-    """Sample one 2n-bit phase-estimation outcome with 2n+2 live qubits."""
+    """Sample one 2n-bit phase-estimation outcome of the 2n+2-qubit circuit,
+    simulated on x and the recycled control (see _multiplier_tables)."""
     if math.gcd(a, N) != 1:
         raise ValueError(f"a={a} shares a factor with N={N}")
     n = N.bit_length()
@@ -210,11 +223,11 @@ def shor_period_finding(
     width = 2 * n + 2
     if width > SV_WIDTH_CAP:
         raise SimulationError(f"N={N} needs {width} qubits, over the {SV_WIDTH_CAP} cap")
-    ctrl = 2 * n + 1
+    ctrl = n
     tables = _multiplier_tables(N, a, t, mode)
     if rng is None:
         rng = np.random.default_rng(seed)
-    sv = Statevector(width, value=1)  # multiplication register starts at |1>
+    sv = Statevector(n + 1, value=1)  # multiplication register starts at |1>
     bits: list[int] = []
     for i in range(t):
         sv.hadamard(ctrl)
@@ -243,10 +256,10 @@ def exact_outcome_distribution(N: int, a: int, mode: str = "serial") -> dict[int
     width = 2 * n + 2
     if width > SV_WIDTH_CAP:
         raise SimulationError(f"N={N} needs {width} qubits, over the {SV_WIDTH_CAP} cap")
-    ctrl = 2 * n + 1
+    ctrl = n
     tables = _multiplier_tables(N, a, t, mode)
     dist: dict[int, float] = {}
-    start = Statevector(width, value=1)
+    start = Statevector(n + 1, value=1)
 
     def branch(sv: Statevector, i: int, bits: list[int], prob: float) -> None:
         if i == t:

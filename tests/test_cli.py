@@ -175,6 +175,14 @@ def test_shor_sampled_run(capsys):
     assert (code2, out2, err2) == (code, out, err)  # byte-identical repeat
 
 
+def test_shor_factors_past_the_exhaustive_table_cap(capsys):
+    # N = 1073 = 29 * 37 needs a 24-qubit multiplier, over the width-22 cap
+    # of exhaustive permutation tables
+    code, out, _ = _run(capsys, ["shor", "--N", "1073"])
+    assert code == 0
+    assert out.splitlines()[-1].endswith("factors=29,37")
+
+
 def test_shor_rejects_bad_modulus(capsys):
     for N, fragment in (("16", "odd"), ("17", "prime"), ("25", "prime power")):
         code, out, err = _run(capsys, ["shor", "--N", N])

@@ -139,7 +139,13 @@ def test_simulators_agree_with_reference(circ, data):
     want = reference_states(circ.gates, state)
     assert run(circ, state) == want[-1]
     assert prefix_states(circ, state) == want
-    assert permutation_table(circ)[state] == want[-1]
+    table = permutation_table(circ)
+    assert table[state] == want[-1]
+    inputs = np.array(data.draw(st.lists(st.integers(0, (1 << circ.width) - 1), max_size=9)),
+                      dtype=np.int64)
+    lanes = permutation_table(circ, inputs)
+    assert (lanes == table[inputs]).all()
+    assert lanes.tolist() == [reference_states(circ.gates, int(s))[-1] for s in inputs]
     ex = SegmentExecutor(circ, [])
     lo = data.draw(st.integers(0, len(circ.gates)))
     hi = data.draw(st.integers(lo, len(circ.gates)))
@@ -170,6 +176,12 @@ def test_permutation_table_matches_run():
 def test_permutation_table_width_cap():
     with pytest.raises(SimulationError):
         permutation_table(Circuit(23))
+    # given inputs lift the width cap but not the lane cap
+    assert permutation_table(Circuit(40), np.array([1 << 39])).tolist() == [1 << 39]
+    with pytest.raises(SimulationError):
+        permutation_table(Circuit(1), np.zeros((1 << 22) + 1, dtype=np.int64))
+    with pytest.raises(SimulationError):
+        permutation_table(Circuit(2), np.array([4]))
 
 
 def test_check_restores():

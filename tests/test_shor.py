@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from dirtyshor import shor
 from dirtyshor.adders import AdderSpec, const_adder
-from dirtyshor.modular import mod_adder
-from dirtyshor.revsim import SimulationError, permutation_table
+from dirtyshor.circuits import Circuit, Gate, GateKind
+from dirtyshor.faultlab import FaultSpec, inject
+from dirtyshor.modular import ModMulSpec, ctrl_modmul_inplace, mod_adder, modmul_forward
+from dirtyshor.revsim import SimulationError, permutation_table, run
 from dirtyshor.shor import (
     SV_WIDTH_CAP,
     ShorRun,
@@ -231,6 +234,45 @@ def test_period_finding_is_deterministic():
     assert r1.width == 10
     assert len(r1.bits) == 8
     assert r1.y == sum(b << i for i, b in enumerate(r1.bits))
+
+
+@pytest.mark.parametrize("N", [1073, 4089])
+def test_period_finding_past_the_exhaustive_table_cap(N):
+    # 2n+2 = 24 and 26 qubits: over the width-22 cap of exhaustive tables
+    n = N.bit_length()
+    run_ = shor_period_finding(N, 2)
+    assert run_.width == 2 * n + 2
+    assert 0 <= run_.y < 1 << (2 * n)
+    assert run_.r is None or pow(2, run_.r, N) == 1
+
+
+def _corrupt(circ: Circuit, fault: FaultSpec) -> Circuit:
+    gates = list(circ.gates)
+    if fault.kind == "missing":
+        del gates[fault.index]
+    else:
+        gates.insert(fault.index + 1, Gate(GateKind.X, (), fault.qubit))
+    return Circuit(circ.width, gates)
+
+
+@pytest.mark.parametrize("kind", ["missing", "bitflip"])
+def test_corrupted_multiplier_is_rejected(monkeypatch, kind):
+    spec = ModMulSpec.standard(7, 15)
+    circ = ctrl_modmul_inplace(spec)
+    if kind == "missing":  # the first Toffoli of the controlled swap
+        fault = FaultSpec("missing", len(modmul_forward(spec).gates) + 1)
+    else:  # dirties work qubit 0 after the last gate
+        fault = FaultSpec("bitflip", len(circ.gates) - 1, spec.work[0])
+    assert kind == "bitflip" or circ.gates[fault.index].kind == GateKind.CCX
+    bad = _corrupt(circ, fault)
+    ex = inject(circ, [fault])
+    reachable = [x | 1 << spec.ctrl for x in range(15)]
+    assert [ex.run(0, len(circ.gates), s) for s in reachable] == [run(bad, s) for s in reachable]
+    assert any(run(bad, s) != run(circ, s) for s in reachable)
+    monkeypatch.setattr(shor, "ctrl_modmul_inplace",
+                        lambda s: bad if s.a == 7 else ctrl_modmul_inplace(s))
+    with pytest.raises(SimulationError, match="reachable inputs"):
+        shor_period_finding(15, 7)
 
 
 def test_period_finding_rejects_shared_factor():
