@@ -67,7 +67,6 @@ from .shor import (
     format_transcript,
     shor_factor,
     shor_period_finding,
-    sv_run,
 )
 
 __version__ = "0.1.0"

@@ -53,12 +53,13 @@ def _width(*groups) -> int:
 # register-register adder
 
 
-def emit_inplace_add(sink, x, y) -> None:
+def emit_inplace_add(sink, x, y, carry_out: int | None = None) -> None:
     """x += y mod 2^n with y restored; 2n-2 Toffolis, no ancilla.
 
     Ripple structure: CNOT prefix folds y into x, a staircase on y carries
     the ripple rail, Toffolis push carries up and the mirrored suffix
-    restores y while writing sum bits.
+    restores y while writing sum bits. Given carry_out, it also gets
+    carry_out ^= the carry out of the top bit, for one more Toffoli.
     """
     n = len(x)
     if len(y) != n:
@@ -66,42 +67,20 @@ def emit_inplace_add(sink, x, y) -> None:
     if n == 0:
         return
     if n == 1:
+        if carry_out is not None:
+            sink.ccx(x[0], y[0], carry_out)
         sink.cx(y[0], x[0])
         return
     for i in range(1, n):
         sink.cx(y[i], x[i])
+    if carry_out is not None:
+        sink.cx(y[n - 1], carry_out)
     for i in range(n - 2, 0, -1):
         sink.cx(y[i], y[i + 1])
     for i in range(n - 1):
         sink.ccx(x[i], y[i], y[i + 1])
-    for i in range(n - 1, 0, -1):
-        sink.cx(y[i], x[i])
-        sink.ccx(x[i - 1], y[i - 1], y[i])
-    for i in range(1, n - 1):
-        sink.cx(y[i], y[i + 1])
-    for i in range(n):
-        sink.cx(y[i], x[i])
-
-
-def emit_inplace_add_carry(sink, x, y, carry_out: int) -> None:
-    """x += y mod 2^n and carry_out ^= carry; 2n-1 Toffolis."""
-    n = len(x)
-    if len(y) != n:
-        raise SynthesisError("inplace add needs equal register sizes")
-    if n == 0:
-        return
-    if n == 1:
-        sink.ccx(x[0], y[0], carry_out)
-        sink.cx(y[0], x[0])
-        return
-    for i in range(1, n):
-        sink.cx(y[i], x[i])
-    sink.cx(y[n - 1], carry_out)
-    for i in range(n - 2, 0, -1):
-        sink.cx(y[i], y[i + 1])
-    for i in range(n - 1):
-        sink.ccx(x[i], y[i], y[i + 1])
-    sink.ccx(x[n - 1], y[n - 1], carry_out)
+    if carry_out is not None:
+        sink.ccx(x[n - 1], y[n - 1], carry_out)
     for i in range(n - 1, 0, -1):
         sink.cx(y[i], x[i])
         sink.ccx(x[i - 1], y[i - 1], y[i])
@@ -121,7 +100,7 @@ def _emit_sub(sink, x, y) -> None:
 def _emit_sub_fold(sink, x, y) -> None:
     """x(w) -= y where y is one qubit narrower; borrow folds into the top bit."""
     rec = RecordingSink()
-    emit_inplace_add_carry(rec, x[:-1], y, x[-1])
+    emit_inplace_add(rec, x[:-1], y, x[-1])
     rec.replay_reversed(sink)
 
 

@@ -1,12 +1,14 @@
 """Gate-level circuit IR for Toffoli-based reversible synthesis.
 
 Circuits are flat gate lists over qubits indexed 0..width-1, little endian
-(qubit i of a register carries weight 2**i). The reversible-pure subset is
-X / CX / CCX / MCX; H, PHASE and MEASURE exist only so the phase estimation
-driver can express its semiclassical loop. Synthesis routines emit into any
-"sink" exposing x/cx/ccx/mcx methods, and emit_circuit replays a stored
-circuit into one, so counting, simulation, lowering and materialization
-share one dispatch.
+(qubit i of a register carries weight 2**i). Every gate is a NOT with zero
+or more controls: X, CX, CCX or MCX, so every circuit is a classical
+reversible permutation of basis states. The phase estimation driver's
+Hadamard, phase and measurement steps act on its statevector directly and
+are never stored as gates. Synthesis routines emit into any "sink"
+exposing x/cx/ccx/mcx methods, and emit_circuit replays a stored circuit
+into one, so counting, simulation, lowering and materialization share one
+dispatch.
 """
 from __future__ import annotations
 
@@ -20,14 +22,6 @@ class GateKind(IntEnum):
     CX = 1
     CCX = 2
     MCX = 3
-    H = 4
-    PHASE = 5
-    MEASURE = 6
-
-
-REVERSIBLE_KINDS = frozenset(
-    {GateKind.X, GateKind.CX, GateKind.CCX, GateKind.MCX}
-)
 
 _N_CONTROLS = {GateKind.X: 0, GateKind.CX: 1, GateKind.CCX: 2}
 
@@ -36,7 +30,6 @@ class Gate(NamedTuple):
     kind: GateKind
     controls: tuple[int, ...]
     target: int
-    param: float = 0.0
 
     def qubits(self) -> tuple[int, ...]:
         return self.controls + (self.target,)
@@ -56,12 +49,13 @@ def _check_gate(kind: GateKind, controls: tuple[int, ...], target: int, width: i
         if c in seen:
             raise CircuitError(f"duplicate qubit {c} in gate")
         seen.add(c)
-    if kind in _N_CONTROLS and len(controls) != _N_CONTROLS[kind]:
+    if kind == GateKind.MCX:
+        if not controls:
+            raise CircuitError("MCX needs at least one control")
+    elif kind not in _N_CONTROLS:
+        raise CircuitError(f"unknown gate kind {kind!r}")
+    elif len(controls) != _N_CONTROLS[kind]:
         raise CircuitError(f"{kind.name} takes {_N_CONTROLS[kind]} controls, got {len(controls)}")
-    if kind == GateKind.MCX and len(controls) < 1:
-        raise CircuitError("MCX needs at least one control")
-    if kind in (GateKind.H, GateKind.PHASE, GateKind.MEASURE) and controls:
-        raise CircuitError(f"{kind.name} takes no controls")
 
 
 class Circuit:
@@ -104,36 +98,15 @@ class Circuit:
         else:
             self.append(Gate(GateKind.MCX, controls, t))
 
-    def h(self, t: int) -> None:
-        self.append(Gate(GateKind.H, (), t))
-
-    def phase(self, theta: float, t: int) -> None:
-        self.append(Gate(GateKind.PHASE, (), t, theta))
-
-    def measure(self, t: int) -> None:
-        self.append(Gate(GateKind.MEASURE, (), t))
-
     def __len__(self) -> int:
         return len(self.gates)
 
     def __iter__(self) -> Iterator[Gate]:
         return iter(self.gates)
 
-    @property
-    def reversible_pure(self) -> bool:
-        return all(g.kind in REVERSIBLE_KINDS for g in self.gates)
-
     def reverse(self) -> "Circuit":
-        """Inverse circuit: reversed order, PHASE angles negated."""
-        rev = Circuit(self.width, tag=self.tag)
-        for g in reversed(self.gates):
-            if g.kind == GateKind.MEASURE:
-                raise CircuitError("cannot reverse a circuit containing MEASURE")
-            if g.kind == GateKind.PHASE:
-                rev.append(Gate(GateKind.PHASE, (), g.target, -g.param))
-            else:
-                rev.append(g)
-        return rev
+        """Inverse circuit: every gate is self-inverse, so reversed order."""
+        return Circuit(self.width, reversed(self.gates), self.tag)
 
     def extend(self, other: "Circuit") -> None:
         if other.width > self.width:
@@ -363,19 +336,17 @@ def emit_circuit(circuit: Circuit, sink, lo: int = 0, hi: int | None = None) -> 
     MCX lowering all receive stored gates through it.
     """
     x, cx, ccx, mcx = sink.x, sink.cx, sink.ccx, sink.mcx
-    X, CX, CCX, MCX = GateKind.X, GateKind.CX, GateKind.CCX, GateKind.MCX
+    X, CX, CCX = GateKind.X, GateKind.CX, GateKind.CCX
     gates = circuit.gates if lo == 0 and hi is None else circuit.gates[lo:hi]
-    for k, c, t, _ in gates:
+    for k, c, t in gates:
         if k == CCX:
             ccx(c[0], c[1], t)
         elif k == CX:
             cx(c[0], t)
         elif k == X:
             x(t)
-        elif k == MCX:
-            mcx(c, t)
         else:
-            raise CircuitError(f"cannot replay {k.name} into a gate sink")
+            mcx(c, t)
 
 
 # --------------------------------------------------------------------------
@@ -467,17 +438,14 @@ _NAME_KINDS = {v: k for k, v in _KIND_NAMES.items()}
 
 
 def circuit_to_text(circuit: Circuit) -> str:
-    """Serialize a reversible-pure circuit.
+    """Serialize a circuit.
 
     Line 1 is `width <w>`; each following line is one gate, controls first,
     target last: `x t`, `cx c t`, `ccx c1 c2 t`, `mcx c1 ... ck t`.
     """
     lines = [f"width {circuit.width}"]
     for g in circuit.gates:
-        name = _KIND_NAMES.get(g.kind)
-        if name is None:
-            raise CircuitError(f"{g.kind.name} has no text form")
-        lines.append(" ".join([name, *map(str, g.controls), str(g.target)]))
+        lines.append(" ".join([_KIND_NAMES[g.kind], *map(str, g.controls), str(g.target)]))
     return "\n".join(lines) + "\n"
 
 

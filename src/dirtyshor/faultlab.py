@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, CircuitError, StateSink, emit_circuit
-from .revsim import BasisState, prefix_states, run
+from .revsim import BasisState, prefix_states, random_bits, run
 
 _FAULT_KINDS = ("missing", "bitflip")
 
@@ -111,16 +111,13 @@ class SegmentExecutor:
         self.calls += 1
         sink = StateSink(state)
         start = lo
-        try:
-            for idx in self._marks:
-                if lo <= idx < hi:
-                    end = idx if idx in self._missing else idx + 1
-                    emit_circuit(self._circuit, sink, start, end)
-                    sink.state ^= self._flips.get(idx, 0)
-                    start = idx + 1
-            emit_circuit(self._circuit, sink, start, hi)
-        except CircuitError as exc:
-            raise FaultError(f"cannot execute segment: {exc}") from exc
+        for idx in self._marks:
+            if lo <= idx < hi:
+                end = idx if idx in self._missing else idx + 1
+                emit_circuit(self._circuit, sink, start, end)
+                sink.state ^= self._flips.get(idx, 0)
+                start = idx + 1
+        emit_circuit(self._circuit, sink, start, hi)
         return sink.state
 
 
@@ -206,10 +203,4 @@ def fault_localize(executor: SegmentExecutor, circuit: Circuit, vectors) -> list
 def random_vectors(width: int, count: int, seed: int | np.random.Generator = 0) -> list[int]:
     """Uniform basis states for trigger sampling; width may exceed 64 bits."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        v = 0
-        for off in range(0, width, 32):
-            v |= int(rng.integers(0, 1 << 32)) << off
-        out.append(v & ((1 << width) - 1))
-    return out
+    return [random_bits(rng, width) for _ in range(count)]

@@ -174,29 +174,17 @@ def emit_modmul_forward(sink, spec: ModMulSpec, a: int | None = None) -> None:
         c = c * 2 % spec.modulus
 
 
-def _emit_modmul_backward(sink, spec: ModMulSpec, a: int) -> None:
-    """Inverse of the forward pass: work -= a * x mod modulus when ctrl.
-
-    The n shifted additions commute (they all add constants to work), so
-    the inverse just adds each modular complement, reusing the forward
-    adder instead of unwinding a recorded gate list.
-    """
-    c = a % spec.modulus
-    for i in range(spec.n):
-        rungs = spec.x[:i] + spec.x[i + 1 :]
-        emit_mod_adder(
-            sink, (spec.modulus - c) % spec.modulus, spec.modulus, spec.work,
-            rungs, spec.ind, (spec.ctrl, spec.x[i]), spec.mode,
-        )
-        c = c * 2 % spec.modulus
-
-
 def emit_ctrl_modmul(sink, spec: ModMulSpec) -> None:
     """|x, 0, 0> -> |a x mod modulus, 0, 0> when ctrl, identity otherwise.
 
     Multiply-accumulate into the zeroed work register, controlled-swap the
     registers, then subtract a^-1 times the product from the old x, which
     zeroes work again. Requires x < modulus and clean work and ind.
+
+    The n shifted additions of a pass commute (they all add constants to
+    work), so the subtraction is the forward pass for -a^-1 mod modulus:
+    each step adds the complement of its constant instead of unwinding a
+    recorded gate list.
     """
     a_inv = mod_inverse(spec.a, spec.modulus)
     emit_modmul_forward(sink, spec)
@@ -204,7 +192,7 @@ def emit_ctrl_modmul(sink, spec: ModMulSpec) -> None:
         sink.cx(wq, xq)
         sink.ccx(spec.ctrl, xq, wq)
         sink.cx(wq, xq)
-    _emit_modmul_backward(sink, spec, a_inv)
+    emit_modmul_forward(sink, spec, spec.modulus - a_inv)
 
 
 def modmul_forward(spec: ModMulSpec) -> Circuit:

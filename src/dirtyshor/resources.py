@@ -18,6 +18,7 @@ import numpy as np
 from .adders import AdderSpec, SynthesisError, emit_const_add, t_add_recursion
 from .circuits import Circuit, CountingSink, StateSink, TeeSink, emit_circuit
 from .modular import ModMulSpec, emit_ctrl_modmul
+from .revsim import random_bits
 
 T_PER_TOFFOLI = 7
 
@@ -56,7 +57,7 @@ def _report_from(counter: CountingSink) -> ResourceReport:
 
 
 def report(circuit: Circuit) -> ResourceReport:
-    """Exact tallies for a reversible-pure circuit; rejects unlowered MCX."""
+    """Exact tallies for a circuit; rejects unlowered MCX."""
     counter = CountingSink(circuit.width)
     emit_circuit(circuit, counter)
     return _report_from(counter)
@@ -103,56 +104,37 @@ def worst_case_multiplier(n: int) -> int:
     return a
 
 
-def _rand_bits(rng: np.random.Generator, n: int) -> int:
-    v = 0
-    for off in range(0, n, 32):
-        v |= int(rng.integers(0, 1 << 32)) << off
-    return v & ((1 << n) - 1)
-
-
-def _adder_row(n: int, mode: str, rng: np.random.Generator, verify: bool) -> ScalingRow:
+def _adder_row(n: int, mode: str, rng: np.random.Generator) -> ScalingRow:
     c = worst_case_constant(n)
     pool_size = 2 if mode == "serial" else max(2, n // 2)
     bits = tuple(range(n))
     pool = tuple(range(n, n + pool_size))
     counter = CountingSink(n + pool_size)
-    if verify:
-        x = _rand_bits(rng, n)
-        pool_bits = _rand_bits(rng, pool_size)
-        start = x | (pool_bits << n)
-        state = StateSink(start)
-        sink = TeeSink(counter, state)
-    else:
-        sink = counter
+    x = random_bits(rng, n)
+    pool_bits = random_bits(rng, pool_size)
+    state = StateSink(x | (pool_bits << n))
     t0 = time.perf_counter()
-    emit_const_add(sink, c, bits, pool, (), mode)
+    emit_const_add(TeeSink(counter, state), c, bits, pool, (), mode)
     dt = time.perf_counter() - t0
-    if verify:
-        want = ((x + c) & ((1 << n) - 1)) | (pool_bits << n)
-        if state.state != want:
-            raise SynthesisError(f"adder harness n={n}: verification mismatch")
+    want = ((x + c) & ((1 << n) - 1)) | (pool_bits << n)
+    if state.state != want:
+        raise SynthesisError(f"adder harness n={n}: verification mismatch")
     return ScalingRow(n=n, toffoli=counter.toffoli, depth=counter.depth, seconds=dt)
 
 
-def _modmul_row(n: int, mode: str, rng: np.random.Generator, verify: bool) -> ScalingRow:
+def _modmul_row(n: int, mode: str, rng: np.random.Generator) -> ScalingRow:
     modulus = worst_case_modulus(n)
     a = worst_case_multiplier(n)
     spec = ModMulSpec.standard(a, modulus, mode=mode)
     counter = CountingSink(spec.width)
-    if verify:
-        x = _rand_bits(rng, n) % modulus
-        start = x | (1 << spec.ctrl)
-        state = StateSink(start)
-        sink = TeeSink(counter, state)
-    else:
-        sink = counter
+    x = random_bits(rng, n) % modulus
+    state = StateSink(x | (1 << spec.ctrl))
     t0 = time.perf_counter()
-    emit_ctrl_modmul(sink, spec)
+    emit_ctrl_modmul(TeeSink(counter, state), spec)
     dt = time.perf_counter() - t0
-    if verify:
-        want = (a * x % modulus) | (1 << spec.ctrl)
-        if state.state != want:
-            raise SynthesisError(f"modmul harness n={n}: verification mismatch")
+    want = (a * x % modulus) | (1 << spec.ctrl)
+    if state.state != want:
+        raise SynthesisError(f"modmul harness n={n}: verification mismatch")
     return ScalingRow(n=n, toffoli=counter.toffoli, depth=counter.depth, seconds=dt)
 
 
@@ -164,7 +146,6 @@ def scaling_table(
     harness: str = "modmul",
     mode: str = "serial",
     seed: int = 0,
-    verify: bool = True,
 ) -> list[ScalingRow]:
     """One row per bit size, ascending, with a random-input check per row."""
     sizes = list(sizes)
@@ -174,7 +155,7 @@ def scaling_table(
         raise ValueError(f"unknown harness {harness!r}")
     build = _HARNESSES[harness]
     rng = np.random.default_rng(seed)
-    return [build(n, mode, rng, verify) for n in sizes]
+    return [build(n, mode, rng) for n in sizes]
 
 
 def rows_to_csv(rows) -> str:

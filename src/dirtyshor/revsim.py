@@ -1,4 +1,4 @@
-"""Bit-exact simulation of reversible-pure circuits.
+"""Bit-exact simulation of reversible circuits.
 
 A basis state is one python int, bit i = qubit i, so a gate costs O(1)
 machine-word work per 64 qubits and registers of thousands of qubits stay
@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .circuits import Circuit, CircuitError, RegisterMap, StateSink, emit_circuit
+from .circuits import Circuit, RegisterMap, StateSink, emit_circuit
 
 _PERM_WIDTH_CAP = 22  # 2**22 lanes: 32 MiB of int64 images, enough for every test
 
@@ -60,13 +60,6 @@ class BasisState:
         return f"BasisState(width={self.width}, value={self.value:#x})"
 
 
-def _emit(circuit: Circuit, sink) -> None:
-    try:
-        emit_circuit(circuit, sink)
-    except CircuitError as exc:
-        raise SimulationError(str(exc)) from exc
-
-
 def run(circuit: Circuit, state: int | BasisState) -> int | BasisState:
     """Apply every gate; returns the same type it was given."""
     wrapped = isinstance(state, BasisState)
@@ -74,7 +67,7 @@ def run(circuit: Circuit, state: int | BasisState) -> int | BasisState:
     if s >> circuit.width:
         raise SimulationError("state has bits beyond the circuit width")
     sink = StateSink(s)
-    _emit(circuit, sink)
+    emit_circuit(circuit, sink)
     if wrapped:
         return BasisState(state.width, sink.state, state.regs)
     return sink.state
@@ -109,7 +102,7 @@ class _PrefixSink(StateSink):
 def prefix_states(circuit: Circuit, state: int) -> list[int]:
     """All len(circuit)+1 prefix states in one pass."""
     sink = _PrefixSink(state)
-    _emit(circuit, sink)
+    emit_circuit(circuit, sink)
     return sink.states
 
 
@@ -157,7 +150,7 @@ def permutation_table(circuit: Circuit, inputs: np.ndarray | None = None) -> np.
     # pack and unpack one qubit at a time, never a count x width bit matrix
     lanes = [int.from_bytes(np.packbits((inputs >> q) & 1, bitorder="little").tobytes(), "little")
              for q in range(circuit.width)]
-    _emit(circuit, LaneSink(lanes, (1 << count) - 1))
+    emit_circuit(circuit, LaneSink(lanes, (1 << count) - 1))
     out = np.zeros(count, dtype=np.int64)
     nbytes = (count + 7) // 8
     for q, lane in enumerate(lanes):
@@ -165,6 +158,14 @@ def permutation_table(circuit: Circuit, inputs: np.ndarray | None = None) -> np.
                              count=count, bitorder="little")
         out |= bits.astype(np.int64) << q
     return out
+
+
+def random_bits(rng: np.random.Generator, width: int) -> int:
+    """Uniform width-bit basis state, drawn 32 bits at a time."""
+    v = 0
+    for off in range(0, width, 32):
+        v |= int(rng.integers(0, 1 << 32)) << off
+    return v & ((1 << width) - 1)
 
 
 def check_restores(perm: np.ndarray, qubits: Iterable[int]) -> bool:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import Circuit, Gate, GateKind
 from .modular import ModMulSpec, ctrl_modmul_inplace, multiplier_constants
 from .revsim import SimulationError, permutation_table
 
@@ -120,39 +119,6 @@ class Statevector:
         self._check_norm()
         return bit
 
-    def apply_gate(self, gate: Gate, rng: np.random.Generator | None = None) -> int | None:
-        k = gate.kind
-        if k in (GateKind.X, GateKind.CX, GateKind.CCX, GateKind.MCX):
-            self.apply_controlled_x(gate.controls, gate.target)
-            return None
-        if k == GateKind.H:
-            self.hadamard(gate.target)
-            return None
-        if k == GateKind.PHASE:
-            self.phase_shift(gate.param, gate.target)
-            return None
-        if k == GateKind.MEASURE:
-            return self.measure(gate.target, rng)
-        raise SimulationError(f"cannot apply {k.name}")
-
-
-def sv_run(
-    circuit: Circuit,
-    state: Statevector | int = 0,
-    seed: int | np.random.Generator = 0,
-) -> tuple[Statevector, list[int]]:
-    """Apply a circuit to a (copy of the) state, collecting measured bits."""
-    sv = state.copy() if isinstance(state, Statevector) else Statevector(circuit.width, state)
-    if sv.width != circuit.width:
-        raise SimulationError("state width does not match circuit")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    record: list[int] = []
-    for gate in circuit.gates:
-        bit = sv.apply_gate(gate, rng)
-        if bit is not None:
-            record.append(bit)
-    return sv, record
-
 
 # --------------------------------------------------------------------------
 # semiclassical phase estimation driver
@@ -181,7 +147,7 @@ class ShorRun:
     width: int
 
 
-def _multiplier_tables(N: int, a: int, count: int, mode: str) -> list[np.ndarray]:
+def _multiplier_tables(N: int, a: int, count: int) -> list[np.ndarray]:
     """Per constant c, the multiplier as a permutation of x (qubits 0..n-1)
     and ctrl (qubit n). Its circuit runs on the 2N inputs phase estimation
     can reach (x < N, work = ind = 0) and must return work and ind to 0,
@@ -195,7 +161,7 @@ def _multiplier_tables(N: int, a: int, count: int, mode: str) -> list[np.ndarray
     tables = []
     for c in multiplier_constants(a, N, count):
         if c not in cache:
-            out = permutation_table(ctrl_modmul_inplace(ModMulSpec.standard(c, N, mode)), inputs)
+            out = permutation_table(ctrl_modmul_inplace(ModMulSpec.standard(c, N)), inputs)
             bad = np.flatnonzero(out != np.concatenate([x, x * c % N | ctrl]))
             if len(bad):
                 raise SimulationError(f"multiplier by {c} mod {N} is wrong on {len(bad)} of "
@@ -212,7 +178,6 @@ def shor_period_finding(
     a: int,
     seed: int | None = 0,
     rng: np.random.Generator | None = None,
-    mode: str = "serial",
 ) -> ShorRun:
     """Sample one 2n-bit phase-estimation outcome of the 2n+2-qubit circuit,
     simulated on x and the recycled control (see _multiplier_tables)."""
@@ -224,7 +189,7 @@ def shor_period_finding(
     if width > SV_WIDTH_CAP:
         raise SimulationError(f"N={N} needs {width} qubits, over the {SV_WIDTH_CAP} cap")
     ctrl = n
-    tables = _multiplier_tables(N, a, t, mode)
+    tables = _multiplier_tables(N, a, t)
     if rng is None:
         rng = np.random.default_rng(seed)
     sv = Statevector(n + 1, value=1)  # multiplication register starts at |1>
@@ -246,7 +211,7 @@ def shor_period_finding(
     )
 
 
-def exact_outcome_distribution(N: int, a: int, mode: str = "serial") -> dict[int, float]:
+def exact_outcome_distribution(N: int, a: int) -> dict[int, float]:
     """Probability of every 2n-bit outcome y, by branching both results of
     each measurement instead of sampling one."""
     if math.gcd(a, N) != 1:
@@ -257,7 +222,7 @@ def exact_outcome_distribution(N: int, a: int, mode: str = "serial") -> dict[int
     if width > SV_WIDTH_CAP:
         raise SimulationError(f"N={N} needs {width} qubits, over the {SV_WIDTH_CAP} cap")
     ctrl = n
-    tables = _multiplier_tables(N, a, t, mode)
+    tables = _multiplier_tables(N, a, t)
     dist: dict[int, float] = {}
     start = Statevector(n + 1, value=1)
 
@@ -378,7 +343,7 @@ def validate_modulus(N: int) -> None:
         )
 
 
-def shor_factor(N: int, attempts: int = 16, seed: int = 0, mode: str = "serial") -> ShorOutcome:
+def shor_factor(N: int, attempts: int = 16, seed: int = 0) -> ShorOutcome:
     """Repeatedly pick a, shortcut on gcd, otherwise run period finding.
 
     Requires N odd, composite and not a prime power; every random draw
@@ -395,7 +360,7 @@ def shor_factor(N: int, attempts: int = 16, seed: int = 0, mode: str = "serial")
             runs.append(ShorRun(N=N, a=a, seed=None, bits=(), y=None, r=None,
                                 factors=factors, width=2 * N.bit_length() + 2))
             return ShorOutcome(N=N, seed=seed, factors=factors, runs=tuple(runs))
-        run = shor_period_finding(N, a, seed=None, rng=rng, mode=mode)
+        run = shor_period_finding(N, a, seed=None, rng=rng)
         runs.append(run)
         if run.factors is not None:
             return ShorOutcome(N=N, seed=seed, factors=run.factors, runs=tuple(runs))

@@ -173,8 +173,8 @@ def test_criterion_6_width_budget():
         widths[N] = counter.width_touched
     out = shor_factor(15, seed=0)
     assert all(run.width == 2 * 4 + 2 for run in out.runs)
-    print(f"criterion 6 PASS: multiplier touches {widths}, shor allocates "
-          f"{[run.width for run in out.runs]} for N=15")
+    print(f"criterion 6 PASS: multiplier touches {widths}, circuit width "
+          f"{[run.width for run in out.runs]}, statevector {(15).bit_length() + 1} qubits for N=15")
 
 
 def test_criterion_7_fault_localization():

@@ -54,7 +54,7 @@ def test_gate_arity_enforced():
     with pytest.raises(CircuitError):
         circ.append(Gate(GateKind.MCX, (), 0))
     with pytest.raises(CircuitError):
-        circ.append(Gate(GateKind.H, (0,), 1))
+        circ.append(Gate(7, (), 0))
 
 
 def test_mcx_method_narrows_kind():
@@ -92,27 +92,6 @@ def test_reverse_is_functional_inverse():
     for _ in range(100):
         s = int(rng.integers(0, 1 << circ.width))
         assert run(both, s) == s
-
-
-def test_reverse_rejects_measure():
-    circ = Circuit(1)
-    circ.measure(0)
-    with pytest.raises(CircuitError):
-        circ.reverse()
-
-
-def test_reverse_negates_phase():
-    circ = Circuit(1)
-    circ.phase(0.75, 0)
-    assert circ.reverse().gates[0].param == -0.75
-
-
-def test_reversible_pure_flag():
-    circ = Circuit(2)
-    circ.cx(0, 1)
-    assert circ.reversible_pure
-    circ.h(0)
-    assert not circ.reversible_pure
 
 
 def test_extend_rejects_wider():
@@ -170,7 +149,6 @@ def test_lowering_four_controls():
     circ = Circuit(6)
     circ.mcx((0, 1, 2, 3), 4)
     low = _lower(circ, (5,))
-    assert low.reversible_pure
     assert all(g.kind == GateKind.CCX for g in low.gates)
     assert (permutation_table(circ) == permutation_table(low)).all()
 
@@ -210,10 +188,6 @@ def test_emit_circuit_replays_gates():
     copy = Circuit(4)
     emit_circuit(circ, copy)
     assert copy.gates == circ.gates
-    circ2 = Circuit(1)
-    circ2.h(0)
-    with pytest.raises(CircuitError):
-        emit_circuit(circ2, Circuit(1))
 
 
 def test_counting_sink_rejects_mcx():
@@ -260,13 +234,6 @@ def test_text_skips_comments_and_blanks():
 def test_text_rejects_malformed(text):
     with pytest.raises(CircuitError):
         circuit_from_text(text)
-
-
-def test_text_rejects_extended_kinds():
-    circ = Circuit(1)
-    circ.h(0)
-    with pytest.raises(CircuitError):
-        circuit_to_text(circ)
 
 
 @st.composite

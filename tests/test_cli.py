@@ -128,7 +128,7 @@ def test_scale_rejects_unsorted_sizes(capsys):
 
 
 def test_scale_reports_memory_error(monkeypatch, capsys):
-    def harness(n, mode, rng, verify):
+    def harness(n, mode, rng):
         raise MemoryError(f"out of memory at n={n}")
 
     monkeypatch.setitem(resources._HARNESSES, "adder", harness)

@@ -93,10 +93,10 @@ def test_modmul_rows_match_direct_count():
 def test_scaling_table_memory_error_propagates(monkeypatch):
     real = resources._HARNESSES["adder"]
 
-    def harness(n, mode, rng, verify):
+    def harness(n, mode, rng):
         if n == 16:
             raise MemoryError("out of memory at n=16")
-        return real(n, mode, rng, verify)
+        return real(n, mode, rng)
 
     monkeypatch.setitem(resources._HARNESSES, "adder", harness)
     with pytest.raises(MemoryError):

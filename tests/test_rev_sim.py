@@ -43,13 +43,6 @@ def test_adder_wraps_and_preserves_dirty():
         assert out == (0 | (g << 4))  # 5 + 11 = 16 wraps to 0
 
 
-def test_run_rejects_non_reversible():
-    circ = Circuit(1)
-    circ.h(0)
-    with pytest.raises(SimulationError):
-        run(circ, 0)
-
-
 def test_run_rejects_oversized_state():
     circ = Circuit(2)
     circ.x(0)
@@ -111,7 +104,7 @@ def _circuit_pair(draw):
 def reference_states(gates, state: int) -> list[int]:
     """Per-gate reference: the state before the first gate and after each."""
     out = [state]
-    for kind, controls, target, _ in gates:
+    for kind, controls, target in gates:
         assert kind in (GateKind.X, GateKind.CX, GateKind.CCX, GateKind.MCX)
         if all((state >> c) & 1 for c in controls):
             state ^= 1 << target
