@@ -1,7 +1,7 @@
 """Toffoli-based modular arithmetic on dirty ancillae, with a factoring driver.
 
 Layering, bottom up: `circuits` (gate IR, sinks, lowering, the one
-`emit_circuit` dispatch), `revsim` (simulators as sinks), `adders`
+`emit_gates` dispatch), `revsim` (simulators as sinks), `adders`
 (carry / incrementer / constant adder on borrowed qubits), `modular`
 (modular adder and the 2n+2-qubit controlled multiplier), `resources`
 (counts, depth, scaling fits), `shor` (statevector backend and
@@ -27,7 +27,6 @@ from .circuits import (
     CountingSink,
     Gate,
     GateKind,
-    RegisterMap,
     circuit_from_text,
     circuit_to_text,
 )
@@ -57,7 +56,7 @@ from .resources import (
     scaling_table,
     shor_projection,
 )
-from .revsim import BasisState, SimulationError, permutation_table, prefix_states, run
+from .revsim import SimulationError, permutation_table, prefix_states, run
 from .shor import (
     ShorOutcome,
     ShorRun,

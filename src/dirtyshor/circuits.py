@@ -1,18 +1,19 @@
 """Gate-level circuit IR for Toffoli-based reversible synthesis.
 
 Circuits are flat gate lists over qubits indexed 0..width-1, little endian
-(qubit i of a register carries weight 2**i). Every gate is a NOT with zero
-or more controls: X, CX, CCX or MCX, so every circuit is a classical
-reversible permutation of basis states. The phase estimation driver's
-Hadamard, phase and measurement steps act on its statevector directly and
-are never stored as gates. Synthesis routines emit into any "sink"
-exposing x/cx/ccx/mcx methods, and emit_circuit replays a stored circuit
-into one, so counting, simulation, lowering and materialization share one
-dispatch.
+(qubit i of a register carries weight 2**i). Every gate is the triple
+(kind, controls, target) of a NOT with zero or more controls: X, CX, CCX
+or MCX, so every circuit is a classical reversible permutation of basis
+states, and a basis state is one python int with bit i = qubit i. The
+phase estimation driver's Hadamard, phase and measurement steps act on its
+statevector directly and are never stored as gates. Synthesis routines
+emit into any "sink" exposing x/cx/ccx/mcx methods. Stored circuits and
+recorded blocks hold the same triples and replay through the one
+emit_gates loop, so counting, simulation, lowering, recording and
+materialization share one dispatch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Iterator, NamedTuple
 
@@ -23,16 +24,14 @@ class GateKind(IntEnum):
     CCX = 2
     MCX = 3
 
-_N_CONTROLS = {GateKind.X: 0, GateKind.CX: 1, GateKind.CCX: 2}
+_X, _CX, _CCX, _MCX = GateKind.X, GateKind.CX, GateKind.CCX, GateKind.MCX
+_N_CONTROLS = {_X: 0, _CX: 1, _CCX: 2}
 
 
 class Gate(NamedTuple):
     kind: GateKind
     controls: tuple[int, ...]
     target: int
-
-    def qubits(self) -> tuple[int, ...]:
-        return self.controls + (self.target,)
 
 
 class CircuitError(ValueError):
@@ -213,10 +212,12 @@ class StateSink:
 
 
 class RecordingSink:
-    """Buffers flat gate ops so a block can be replayed, possibly reversed.
+    """Buffers a block as (kind, controls, target) triples, Gate's field
+    order, so it can be replayed, possibly reversed, through emit_gates.
 
     Synthesis uses this for compute/uncompute sandwiches; all reversible
-    gates here are self-inverse, so reversal is order reversal.
+    gates here are self-inverse, so reversal is order reversal. A recorder
+    receiving a replay takes the whole block in one extend.
     """
 
     __slots__ = ("ops",)
@@ -225,36 +226,28 @@ class RecordingSink:
         self.ops: list[tuple] = []
 
     def x(self, t: int) -> None:
-        self.ops.append(("x", t))
+        self.ops.append((_X, (), t))
 
     def cx(self, c: int, t: int) -> None:
-        self.ops.append(("cx", c, t))
+        self.ops.append((_CX, (c,), t))
 
     def ccx(self, c1: int, c2: int, t: int) -> None:
-        self.ops.append(("ccx", c1, c2, t))
+        self.ops.append((_CCX, (c1, c2), t))
 
     def mcx(self, controls: tuple[int, ...], t: int) -> None:
-        self.ops.append(("mcx", controls, t))
+        self.ops.append((_MCX, controls, t))
 
     def replay(self, sink) -> None:
-        self._replay(self.ops, sink)
+        if isinstance(sink, RecordingSink):
+            sink.ops.extend(self.ops)
+        else:
+            emit_gates(self.ops, sink)
 
     def replay_reversed(self, sink) -> None:
-        self._replay(reversed(self.ops), sink)
-
-    @staticmethod
-    def _replay(ops, sink) -> None:
-        x, cx, ccx, mcx = sink.x, sink.cx, sink.ccx, sink.mcx
-        for op in ops:
-            k = op[0]
-            if k == "ccx":
-                ccx(op[1], op[2], op[3])
-            elif k == "cx":
-                cx(op[1], op[2])
-            elif k == "x":
-                x(op[1])
-            else:
-                mcx(op[1], op[2])
+        if isinstance(sink, RecordingSink):
+            sink.ops.extend(reversed(self.ops))
+        else:
+            emit_gates(reversed(self.ops), sink)
 
 
 class TeeSink:
@@ -330,14 +323,18 @@ class LoweringSink:
 
 
 def emit_circuit(circuit: Circuit, sink, lo: int = 0, hi: int | None = None) -> None:
-    """Replay gates [lo, hi) of a materialized circuit into a sink.
+    """Replay gates [lo, hi) of a materialized circuit into a sink."""
+    emit_gates(circuit.gates if lo == 0 and hi is None else circuit.gates[lo:hi], sink)
 
-    This is the one GateKind -> sink dispatch: simulators, counters and the
-    MCX lowering all receive stored gates through it.
+
+def emit_gates(gates: Iterable[tuple], sink) -> None:
+    """Feed (kind, controls, target) triples into a sink.
+
+    This is the one GateKind -> sink dispatch: simulators, counters, the
+    MCX lowering and recorded-block replay all receive gates through it.
     """
     x, cx, ccx, mcx = sink.x, sink.cx, sink.ccx, sink.mcx
-    X, CX, CCX = GateKind.X, GateKind.CX, GateKind.CCX
-    gates = circuit.gates if lo == 0 and hi is None else circuit.gates[lo:hi]
+    X, CX, CCX = _X, _CX, _CCX
     for k, c, t in gates:
         if k == CCX:
             ccx(c[0], c[1], t)
@@ -382,52 +379,6 @@ def emit_mcx(sink, controls: tuple[int, ...], target: int, dirty: int | None = N
         emit_mcx(sink, head, dirty, target)
         sink.ccx(tail, dirty, target)
         emit_mcx(sink, head, dirty, target)
-
-
-# --------------------------------------------------------------------------
-# register bookkeeping
-
-
-@dataclass(frozen=True)
-class RegisterMap:
-    """Named, disjoint little-endian views into one qubit row.
-
-    clean lists qubits guaranteed |0> on entry; dirty lists borrowable
-    qubits in unknown states that every routine must restore. Both refer to
-    register names.
-    """
-
-    width: int
-    registers: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    clean: tuple[str, ...] = ()
-    dirty: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for name, qubits in self.registers.items():
-            for q in qubits:
-                if not 0 <= q < self.width:
-                    raise CircuitError(f"register {name}: qubit {q} out of range")
-                if q in seen:
-                    raise CircuitError(f"register {name}: qubit {q} assigned twice")
-                seen.add(q)
-        for name in self.clean + self.dirty:
-            if name not in self.registers:
-                raise CircuitError(f"unknown register {name!r} in clean/dirty listing")
-
-    def __getitem__(self, name: str) -> tuple[int, ...]:
-        return self.registers[name]
-
-    def value(self, state: int, name: str) -> int:
-        v = 0
-        for i, q in enumerate(self.registers[name]):
-            v |= ((state >> q) & 1) << i
-        return v
-
-    def with_value(self, state: int, name: str, value: int) -> int:
-        for i, q in enumerate(self.registers[name]):
-            state = (state & ~(1 << q)) | (((value >> i) & 1) << q)
-        return state
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, CircuitError, StateSink, emit_circuit
-from .revsim import BasisState, prefix_states, random_bits, run
+from .revsim import prefix_states, random_bits, run
 
 _FAULT_KINDS = ("missing", "bitflip")
 
@@ -125,10 +125,6 @@ def inject(circuit: Circuit, faults) -> SegmentExecutor:
     return SegmentExecutor(circuit, faults)
 
 
-def _values(vectors) -> list[int]:
-    return [v.value if isinstance(v, BasisState) else int(v) for v in vectors]
-
-
 def call_bound(n_gates: int, n_vectors: int) -> int:
     rounds = max(1, math.ceil(math.log2(n_gates))) if n_gates > 1 else 1
     return 2 * n_vectors * (rounds + 1)
@@ -136,7 +132,7 @@ def call_bound(n_gates: int, n_vectors: int) -> int:
 
 def fault_detect(executor: SegmentExecutor, circuit: Circuit, vectors) -> bool:
     """True iff some vector's full-range output differs from fault-free sim."""
-    for v in _values(vectors):
+    for v in [int(v) for v in vectors]:
         golden = run(circuit, v)
         if executor.run(0, executor.n_gates, v) != golden:
             return True
@@ -152,7 +148,7 @@ def fault_localize(executor: SegmentExecutor, circuit: Circuit, vectors) -> list
     states, so a deviation in a half certifies a triggered fault inside it.
     Raises InconclusiveError when no vector shows any full-range deviation.
     """
-    values = _values(vectors)
+    values = [int(v) for v in vectors]
     if not values:
         raise InconclusiveError("no test vectors supplied")
     n_gates = executor.n_gates

@@ -68,16 +68,18 @@ def emit_mod_adder(sink, a: int, modulus: int, b, g, ind: int, ctrls=(), mode: s
         raise SynthesisError("mod adder supports at most 2 controls")
     if a == 0:
         return
-    if len(ctrls) >= 2:
-        sink = LoweringSink(sink, tuple(b) + tuple(g))
-    emit_comparator(sink, modulus - a, b, g, ind, ctrls)
+    # only the comparators' target reads gain a third control (their carry
+    # top plus both ctrls); the additions are controlled by ind alone, so
+    # just the comparators go through the lowering
+    cmp_sink = LoweringSink(sink, tuple(b) + tuple(g)) if len(ctrls) >= 2 else sink
+    emit_comparator(cmp_sink, modulus - a, b, g, ind, ctrls)
     emit_const_add(sink, a, b, g, (), mode, (ind,))
     emit_controlled_x(sink, ctrls, ind)
     back = RecordingSink()
     emit_const_add(back, modulus - a, b, g, (), mode, (ind,))
     back.replay_reversed(sink)
     emit_controlled_x(sink, ctrls, ind)
-    emit_comparator(sink, a, b, g, ind, ctrls)
+    emit_comparator(cmp_sink, a, b, g, ind, ctrls)
     emit_controlled_x(sink, ctrls, ind)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adders import AdderSpec, SynthesisError, emit_const_add, t_add_recursion
+from .adders import SynthesisError, emit_const_add
 from .circuits import Circuit, CountingSink, StateSink, TeeSink, emit_circuit
 from .modular import ModMulSpec, emit_ctrl_modmul
 from .revsim import random_bits

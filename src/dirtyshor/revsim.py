@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .circuits import Circuit, RegisterMap, StateSink, emit_circuit
+from .circuits import Circuit, StateSink, emit_circuit
 
 _PERM_WIDTH_CAP = 22  # 2**22 lanes: 32 MiB of int64 images, enough for every test
 
@@ -24,52 +24,12 @@ class SimulationError(ValueError):
     pass
 
 
-class BasisState:
-    """Packed-bit computational basis state with optional register views."""
-
-    __slots__ = ("value", "width", "regs")
-
-    def __init__(self, width: int, value: int = 0, regs: RegisterMap | None = None):
-        if width < 1:
-            raise SimulationError("width must be positive")
-        if not 0 <= value < 1 << width:
-            raise SimulationError("value does not fit the declared width")
-        if regs is not None and regs.width != width:
-            raise SimulationError("register map width mismatch")
-        self.value = value
-        self.width = width
-        self.regs = regs
-
-    def get(self, name: str) -> int:
-        if self.regs is None:
-            raise SimulationError("no register map attached")
-        return self.regs.value(self.value, name)
-
-    def set(self, name: str, v: int) -> "BasisState":
-        if self.regs is None:
-            raise SimulationError("no register map attached")
-        return BasisState(self.width, self.regs.with_value(self.value, name, v), self.regs)
-
-    def bit(self, q: int) -> int:
-        return (self.value >> q) & 1
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BasisState) and self.value == other.value and self.width == other.width
-
-    def __repr__(self) -> str:
-        return f"BasisState(width={self.width}, value={self.value:#x})"
-
-
-def run(circuit: Circuit, state: int | BasisState) -> int | BasisState:
-    """Apply every gate; returns the same type it was given."""
-    wrapped = isinstance(state, BasisState)
-    s = state.value if wrapped else state
-    if s >> circuit.width:
+def run(circuit: Circuit, state: int) -> int:
+    """Apply every gate to a basis state."""
+    if state >> circuit.width:
         raise SimulationError("state has bits beyond the circuit width")
-    sink = StateSink(s)
+    sink = StateSink(state)
     emit_circuit(circuit, sink)
-    if wrapped:
-        return BasisState(state.width, sink.state, state.regs)
     return sink.state
 
 

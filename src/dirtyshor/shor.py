@@ -173,6 +173,25 @@ def _multiplier_tables(N: int, a: int, count: int) -> list[np.ndarray]:
     return tables
 
 
+def _phase_estimation_setup(N: int, a: int) -> tuple[int, list[np.ndarray]]:
+    """n and the 2n multiplier tables, after the gcd and width checks."""
+    if math.gcd(a, N) != 1:
+        raise ValueError(f"a={a} shares a factor with N={N}")
+    n = N.bit_length()
+    if 2 * n + 2 > SV_WIDTH_CAP:
+        raise SimulationError(f"N={N} needs {2 * n + 2} qubits, over the {SV_WIDTH_CAP} cap")
+    return n, _multiplier_tables(N, a, 2 * n)
+
+
+def _semiclassical_step(sv: Statevector, tables: list[np.ndarray], i: int,
+                        bits: list[int], ctrl: int) -> None:
+    """Iteration i up to its measurement: H, multiply by a^(2^(t-1-i)), rotate, H."""
+    sv.hadamard(ctrl)
+    sv.apply_permutation(tables[-1 - i])
+    sv.phase_shift(semiclassical_angle(i, bits), ctrl)
+    sv.hadamard(ctrl)
+
+
 def shor_period_finding(
     N: int,
     a: int,
@@ -181,24 +200,15 @@ def shor_period_finding(
 ) -> ShorRun:
     """Sample one 2n-bit phase-estimation outcome of the 2n+2-qubit circuit,
     simulated on x and the recycled control (see _multiplier_tables)."""
-    if math.gcd(a, N) != 1:
-        raise ValueError(f"a={a} shares a factor with N={N}")
-    n = N.bit_length()
+    n, tables = _phase_estimation_setup(N, a)
     t = 2 * n
-    width = 2 * n + 2
-    if width > SV_WIDTH_CAP:
-        raise SimulationError(f"N={N} needs {width} qubits, over the {SV_WIDTH_CAP} cap")
     ctrl = n
-    tables = _multiplier_tables(N, a, t)
     if rng is None:
         rng = np.random.default_rng(seed)
     sv = Statevector(n + 1, value=1)  # multiplication register starts at |1>
     bits: list[int] = []
     for i in range(t):
-        sv.hadamard(ctrl)
-        sv.apply_permutation(tables[t - 1 - i])
-        sv.phase_shift(semiclassical_angle(i, bits), ctrl)
-        sv.hadamard(ctrl)
+        _semiclassical_step(sv, tables, i, bits, ctrl)
         m = sv.measure(ctrl, rng)
         if m:
             sv.apply_controlled_x((), ctrl)  # recycle: reset to |0>
@@ -207,22 +217,16 @@ def shor_period_finding(
     r = continued_fraction_order(y, 1 << t, N, a)
     return ShorRun(
         N=N, a=a, seed=seed, bits=tuple(bits), y=y, r=r,
-        factors=order_to_factors(a, r, N), width=width,
+        factors=order_to_factors(a, r, N), width=2 * n + 2,
     )
 
 
 def exact_outcome_distribution(N: int, a: int) -> dict[int, float]:
     """Probability of every 2n-bit outcome y, by branching both results of
     each measurement instead of sampling one."""
-    if math.gcd(a, N) != 1:
-        raise ValueError(f"a={a} shares a factor with N={N}")
-    n = N.bit_length()
+    n, tables = _phase_estimation_setup(N, a)
     t = 2 * n
-    width = 2 * n + 2
-    if width > SV_WIDTH_CAP:
-        raise SimulationError(f"N={N} needs {width} qubits, over the {SV_WIDTH_CAP} cap")
     ctrl = n
-    tables = _multiplier_tables(N, a, t)
     dist: dict[int, float] = {}
     start = Statevector(n + 1, value=1)
 
@@ -231,10 +235,7 @@ def exact_outcome_distribution(N: int, a: int) -> dict[int, float]:
             y = sum(b << j for j, b in enumerate(bits))
             dist[y] = dist.get(y, 0.0) + prob
             return
-        sv.hadamard(ctrl)
-        sv.apply_permutation(tables[t - 1 - i])
-        sv.phase_shift(semiclassical_angle(i, bits), ctrl)
-        sv.hadamard(ctrl)
+        _semiclassical_step(sv, tables, i, bits, ctrl)
         for m in (0, 1):
             p = sv.probability(ctrl, m)
             if p <= 1e-18:

@@ -1,4 +1,4 @@
-"""Gate IR: validation, reversal, MCX lowering, text format, register maps."""
+"""Gate IR: validation, reversal, MCX lowering, replay, text format."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from dirtyshor.circuits import (
     Gate,
     GateKind,
     LoweringSink,
-    RegisterMap,
+    RecordingSink,
     circuit_from_text,
     circuit_to_text,
     emit_circuit,
@@ -188,6 +188,17 @@ def test_emit_circuit_replays_gates():
     copy = Circuit(4)
     emit_circuit(circ, copy)
     assert copy.gates == circ.gates
+    # recorded blocks hold the same triples and replay through the same loop
+    rec = RecordingSink()
+    emit_circuit(circ, rec)
+    assert rec.ops == circ.gates
+    into_rec, into_circ = RecordingSink(), Circuit(4)
+    rec.replay(into_rec)
+    rec.replay(into_circ)
+    assert into_rec.ops == into_circ.gates == circ.gates
+    backward = RecordingSink()
+    rec.replay_reversed(backward)
+    assert backward.ops == circ.reverse().gates
 
 
 def test_counting_sink_rejects_mcx():
@@ -252,37 +263,3 @@ def _small_circuits(draw):
 def test_text_round_trip_property(circ):
     back = circuit_from_text(circuit_to_text(circ))
     assert back.width == circ.width and back.gates == circ.gates
-
-
-# --------------------------------------------------------------------------
-# register map
-
-
-def _regmap():
-    return RegisterMap(
-        width=8,
-        registers={"a": (0, 1, 2), "g": (3, 4), "t": (5,)},
-        clean=("t",),
-        dirty=("g",),
-    )
-
-
-def test_register_map_little_endian_views():
-    rm = _regmap()
-    state = rm.with_value(0, "a", 5)
-    assert state == 0b101
-    assert rm.value(state, "a") == 5
-    assert rm.value(state, "g") == 0
-    state = rm.with_value(state, "g", 2)
-    assert rm.value(state, "a") == 5 and rm.value(state, "g") == 2
-    assert rm["t"] == (5,)
-
-
-def test_register_map_rejects_overlap_and_range():
-    with pytest.raises(CircuitError):
-        RegisterMap(width=4, registers={"a": (0, 1), "b": (1, 2)})
-    with pytest.raises(CircuitError):
-        RegisterMap(width=2, registers={"a": (0, 5)})
-    with pytest.raises(CircuitError):
-        RegisterMap(width=4, registers={"a": (0,)}, clean=("zz",))
-

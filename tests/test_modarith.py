@@ -1,5 +1,6 @@
 """Modular adder and controlled in-place multiplier against integer oracles."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirtyshor.adders import SynthesisError
-from dirtyshor.circuits import CountingSink, GateKind, StateSink
+from dirtyshor.adders import AdderSpec, SynthesisError, const_adder
+from dirtyshor.circuits import CountingSink, GateKind, StateSink, circuit_to_text
 from dirtyshor.modular import (
     ModMulSpec,
     NotCoprimeError,
@@ -228,3 +229,32 @@ def test_modmul_oracle_property(N, a, x, ctrl):
     emit_ctrl_modmul(sink, spec)
     want = ((a * x % N) if ctrl else x) | (ctrl << spec.ctrl)
     assert sink.state == want
+
+
+# --------------------------------------------------------------------------
+# gate lists are the fixed point
+
+# SHA-256 over circuit_to_text of every circuit _pinned_circuits yields,
+# serial mode then parallel; a change to synthesis that moves any gate,
+# even one that keeps every count, changes it
+_PINNED_DIGEST = "fd8e673b825f6bab8fffd5dad64c3c70811c2b4899788fbd8c7e9393b5502fb0"
+
+
+def _pinned_circuits(mode):
+    for N, a in ((15, 7), (21, 2), (255, 13), (1073, 5), (93, 5)):
+        yield ctrl_modmul_inplace(ModMulSpec.standard(a, N, mode=mode))
+    for n in range(1, 20):
+        for k in range(3):
+            c = (1 << n) - 1 - n // 3
+            yield const_adder(AdderSpec.standard(n, c, pool_size=max(2, n // 2), n_ctrls=k, mode=mode))
+    for N, a, k in ((21, 2, 2), (255, 100, 2), (31, 7, 1)):
+        n = N.bit_length()
+        yield mod_adder(a, N, range(n), range(n, 2 * n - 1), 2 * n - 1, range(2 * n, 2 * n + k), mode=mode)
+
+
+def test_gate_lists_are_pinned():
+    h = hashlib.sha256()
+    for mode in ("serial", "parallel"):
+        for circ in _pinned_circuits(mode):
+            h.update(circuit_to_text(circ).encode())
+    assert h.hexdigest() == _PINNED_DIGEST

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirtyshor.adders import AdderSpec, const_adder
-from dirtyshor.circuits import Circuit, Gate, GateKind, RegisterMap
+from dirtyshor.circuits import Circuit, Gate, GateKind
 from dirtyshor.faultlab import SegmentExecutor
 from dirtyshor.revsim import (
-    BasisState,
     SimulationError,
     check_restores,
     permutation_table,
@@ -50,31 +49,10 @@ def test_run_rejects_oversized_state():
         run(circ, 7)
 
 
-def test_run_round_trips_basis_state_type():
-    circ = Circuit(2)
-    circ.x(1)
-    out = run(circ, BasisState(2, 1))
-    assert isinstance(out, BasisState)
-    assert out.value == 3 and out.width == 2
-
-
 def test_mcx_semantics():
     circ = Circuit(4, [Gate(GateKind.MCX, (0, 1, 2), 3)])
     assert run(circ, 0b0111) == 0b1111
     assert run(circ, 0b0011) == 0b0011
-
-
-def test_basis_state_register_views():
-    rm = RegisterMap(width=6, registers={"x": (0, 1, 2, 3), "g": (4, 5)})
-    s = BasisState(6, 0, rm).set("x", 9).set("g", 2)
-    assert s.get("x") == 9 and s.get("g") == 2
-    assert s.bit(0) == 1 and s.bit(3) == 1
-    with pytest.raises(SimulationError):
-        BasisState(6, 0).get("x")
-    with pytest.raises(SimulationError):
-        BasisState(4, 0, rm)
-    with pytest.raises(SimulationError):
-        BasisState(2, 9)
 
 
 def test_prefix_states_cover_every_gate():
