@@ -15,7 +15,6 @@ from .adders import (
     carry_circuit,
     comparator,
     const_adder,
-    ctrl_const_adder,
     ctrl_incrementer,
     incrementer,
     inplace_add,
@@ -45,7 +44,6 @@ from .modular import (
     ctrl_modmul_inplace,
     mod_adder,
     mod_inverse,
-    modmul_forward,
     multiplier_constants,
 )
 from .resources import (

@@ -349,52 +349,52 @@ def emit_const_add(sink, c: int, bits, pool, idle, mode: str = "serial", ctrls=(
 # public circuit builders
 
 
-def carry_circuit(c: int, a, g, target: int, ctrls=(), width: int | None = None) -> Circuit:
+def carry_circuit(c: int, a, g, target: int, ctrls=()) -> Circuit:
     """Circuit flipping target iff adding c to register a would carry out.
 
     g must offer n-1 dirty rungs (restored). With k controls the two target
-    reads become (k+1)-fold controlled; at two controls that is an MCX the
-    caller lowers, for example by emitting the circuit into a LoweringSink.
+    reads become (k+1)-fold controlled; at two controls each is an MCX,
+    lowered on the idle a qubits.
     """
     a, g, ctrls = tuple(a), tuple(g), tuple(ctrls)
     _require_disjoint(a=a, g=g, target=(target,), ctrls=ctrls)
     if len(ctrls) > 2:
         raise SynthesisError("carry supports at most 2 controls")
-    circ = Circuit(width or _width(a, g, (target,), ctrls), tag="carry")
-    emit_carry(circ, c, a, g, target, ctrls, elide=True)
+    circ = Circuit(_width(a, g, (target,), ctrls))
+    emit_carry(LoweringSink(circ, a), c, a, g, target, ctrls, elide=True)
     return circ
 
 
-def comparator(c: int, b, g, target: int, ctrls=(), width: int | None = None) -> Circuit:
+def comparator(c: int, b, g, target: int, ctrls=()) -> Circuit:
     """Circuit flipping target iff b < c; same scratch contract as carry."""
     b, g, ctrls = tuple(b), tuple(g), tuple(ctrls)
     _require_disjoint(b=b, g=g, target=(target,), ctrls=ctrls)
     if len(ctrls) > 2:
         raise SynthesisError("comparator supports at most 2 controls")
-    circ = Circuit(width or _width(b, g, (target,), ctrls), tag="comparator")
-    emit_comparator(circ, c, b, g, target, ctrls)
+    circ = Circuit(_width(b, g, (target,), ctrls))
+    emit_comparator(LoweringSink(circ, b), c, b, g, target, ctrls)
     return circ
 
 
-def inplace_add(x, y, width: int | None = None) -> Circuit:
+def inplace_add(x, y) -> Circuit:
     """Circuit computing x += y mod 2^n with y restored."""
     x, y = tuple(x), tuple(y)
     _require_disjoint(x=x, y=y)
-    circ = Circuit(width or _width(x, y), tag="inplace-add")
+    circ = Circuit(_width(x, y))
     emit_inplace_add(circ, x, y)
     return circ
 
 
-def incrementer(x, g, width: int | None = None) -> Circuit:
+def incrementer(x, g) -> Circuit:
     """Circuit computing x += 1 mod 2^m from m borrowed dirty qubits."""
     x, g = tuple(x), tuple(g)
     _require_disjoint(x=x, g=g)
-    circ = Circuit(width or _width(x, g), tag="incrementer")
+    circ = Circuit(_width(x, g))
     emit_incrementer(circ, x, g)
     return circ
 
 
-def ctrl_incrementer(x, ctrl: int, g, spare: int | None = None, width: int | None = None) -> Circuit:
+def ctrl_incrementer(x, ctrl: int, g, spare: int | None = None) -> Circuit:
     """Circuit computing x += ctrl. Needs m+1 borrowed qubits overall.
 
     g supplies m of them; the one extra comes from spare when given (the
@@ -404,7 +404,7 @@ def ctrl_incrementer(x, ctrl: int, g, spare: int | None = None, width: int | Non
     x, g = tuple(x), tuple(g)
     extra = (spare,) if spare is not None else ()
     _require_disjoint(x=x, ctrl=(ctrl,), g=g, spare=extra)
-    circ = Circuit(width or _width(x, (ctrl,), g, extra), tag="ctrl-incrementer")
+    circ = Circuit(_width(x, (ctrl,), g, extra))
     emit_ctrl_incrementer(circ, x, ctrl, g + extra)
     return circ
 
@@ -416,24 +416,10 @@ def const_adder(spec: AdderSpec) -> Circuit:
     splits the pool so the two recursive halves land in disjoint-qubit
     layers. Both modes compute the same permutation.
     """
-    circ = Circuit(spec.width, tag="const-adder")
-    sink = circ if len(spec.ctrls) < 2 else LoweringSink(circ, spec.bits + spec.pool)
+    circ = Circuit(spec.width)
+    sink = LoweringSink(circ, spec.bits + spec.pool)
     emit_const_add(sink, spec.c, spec.bits, spec.pool, (), spec.mode, spec.ctrls)
     return circ
-
-
-def ctrl_const_adder(spec: AdderSpec) -> Circuit:
-    """const_adder with one or two controls; identity when any control is 0.
-
-    With all-zero controls nothing toggles the carry qubit, so the
-    staircases and the incrementer pair cancel gate for gate and every
-    qubit, dirty included, is restored exactly.
-    """
-    if not spec.ctrls:
-        raise SynthesisError("ctrl_const_adder needs at least one control")
-    if len(spec.ctrls) > 2:
-        raise SynthesisError("ctrl_const_adder supports at most 2 controls")
-    return const_adder(spec)
 
 
 def t_add_recursion(n: int) -> int:

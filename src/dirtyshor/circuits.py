@@ -49,8 +49,9 @@ def _check_gate(kind: GateKind, controls: tuple[int, ...], target: int, width: i
             raise CircuitError(f"duplicate qubit {c} in gate")
         seen.add(c)
     if kind == GateKind.MCX:
-        if not controls:
-            raise CircuitError("MCX needs at least one control")
+        # one spelling per gate: fewer controls are X, CX or CCX
+        if len(controls) < 3:
+            raise CircuitError(f"MCX takes at least 3 controls, got {len(controls)}")
     elif kind not in _N_CONTROLS:
         raise CircuitError(f"unknown gate kind {kind!r}")
     elif len(controls) != _N_CONTROLS[kind]:
@@ -65,13 +66,12 @@ class Circuit:
     interchangeably.
     """
 
-    __slots__ = ("width", "gates", "tag")
+    __slots__ = ("width", "gates")
 
-    def __init__(self, width: int, gates: Iterable[Gate] = (), tag: str = ""):
+    def __init__(self, width: int, gates: Iterable[Gate] = ()):
         if width < 1:
             raise CircuitError("width must be positive")
         self.width = width
-        self.tag = tag
         self.gates: list[Gate] = []
         for g in gates:
             self.append(g)
@@ -105,13 +105,7 @@ class Circuit:
 
     def reverse(self) -> "Circuit":
         """Inverse circuit: every gate is self-inverse, so reversed order."""
-        return Circuit(self.width, reversed(self.gates), self.tag)
-
-    def extend(self, other: "Circuit") -> None:
-        if other.width > self.width:
-            raise CircuitError("cannot extend with a wider circuit")
-        for g in other.gates:
-            self.append(g)
+        return Circuit(self.width, reversed(self.gates))
 
 
 # --------------------------------------------------------------------------

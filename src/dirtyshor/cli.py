@@ -11,15 +11,7 @@ import math
 import sys
 
 from .adders import AdderSpec, SynthesisError, carry_circuit, comparator, const_adder
-from .circuits import (
-    Circuit,
-    CircuitError,
-    GateKind,
-    LoweringSink,
-    circuit_from_text,
-    circuit_to_text,
-    emit_circuit,
-)
+from .circuits import Circuit, CircuitError, circuit_from_text, circuit_to_text
 from .faultlab import (
     FaultError,
     InconclusiveError,
@@ -112,10 +104,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         ctrls = tuple(range(2 * n, 2 * n + args.ctrls))
         build = carry_circuit if kind == "carry" else comparator
         circ = build(args.c, a, g, target, ctrls)
-        if any(gt.kind == GateKind.MCX for gt in circ.gates):
-            lowered = Circuit(circ.width, tag=circ.tag)
-            emit_circuit(circ, LoweringSink(lowered, a))
-            circ = lowered
     elif kind in ("add", "cadd"):
         _require(args, ("n", "c"), kind)
         n_ctrls = args.ctrls if kind == "cadd" else 0

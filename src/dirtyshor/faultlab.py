@@ -69,13 +69,6 @@ def parse_faults(text: str) -> list[FaultSpec]:
     return faults
 
 
-def faults_to_text(faults) -> str:
-    lines = []
-    for f in faults:
-        lines.append(f"missing {f.index}" if f.kind == "missing" else f"bitflip {f.index} {f.qubit}")
-    return "\n".join(lines) + "\n" if lines else ""
-
-
 class SegmentExecutor:
     """Runs gate ranges of one circuit with hidden faults; counts every call."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .adders import SynthesisError, _require_disjoint, emit_comparator, emit_const_add
+from .adders import SynthesisError, _require_disjoint, _width, emit_comparator, emit_const_add
 from .circuits import Circuit, LoweringSink, RecordingSink, emit_controlled_x
 
 
@@ -83,23 +83,13 @@ def emit_mod_adder(sink, a: int, modulus: int, b, g, ind: int, ctrls=(), mode: s
     emit_controlled_x(sink, ctrls, ind)
 
 
-def mod_adder(
-    a: int,
-    modulus: int,
-    b,
-    g,
-    ind: int,
-    ctrls=(),
-    width: int | None = None,
-    mode: str = "serial",
-) -> Circuit:
+def mod_adder(a: int, modulus: int, b, g, ind: int, ctrls=(), mode: str = "serial") -> Circuit:
     """Circuit for b -> (b + a) mod modulus; needs n-1 dirty rungs in g."""
     b, g, ctrls = tuple(b), tuple(g), tuple(ctrls)
     _require_disjoint(b=b, g=g, ind=(ind,), ctrls=ctrls)
     if len(g) < len(b) - 1:
         raise SynthesisError(f"mod adder over {len(b)} bits needs {len(b) - 1} dirty rungs")
-    w = width or (max(q for grp in (b, g, (ind,), ctrls) for q in grp) + 1)
-    circ = Circuit(w, tag="mod-adder")
+    circ = Circuit(_width(b, g, (ind,), ctrls))
     emit_mod_adder(circ, a, modulus, b, g, ind, ctrls, mode)
     return circ
 
@@ -197,13 +187,7 @@ def emit_ctrl_modmul(sink, spec: ModMulSpec) -> None:
     emit_modmul_forward(sink, spec, spec.modulus - a_inv)
 
 
-def modmul_forward(spec: ModMulSpec) -> Circuit:
-    circ = Circuit(spec.width, tag="modmul-forward")
-    emit_modmul_forward(circ, spec)
-    return circ
-
-
 def ctrl_modmul_inplace(spec: ModMulSpec) -> Circuit:
-    circ = Circuit(spec.width, tag="ctrl-modmul")
+    circ = Circuit(spec.width)
     emit_ctrl_modmul(circ, spec)
     return circ

@@ -11,13 +11,11 @@ Each simulator is a sink fed by circuits.emit_circuit.
 """
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from .circuits import Circuit, StateSink, emit_circuit
 
-_PERM_WIDTH_CAP = 22  # 2**22 lanes: 32 MiB of int64 images, enough for every test
+LANE_CAP = 1 << 22  # lanes per table: 32 MiB of int64 images
 
 
 class SimulationError(ValueError):
@@ -96,15 +94,15 @@ class LaneSink:
 
 def permutation_table(circuit: Circuit, inputs: np.ndarray | None = None) -> np.ndarray:
     """Images of the given int64 basis states, one lane each, capped at
-    2**22 lanes; without inputs, perm[s] = circuit(s) for all 2**width s."""
+    LANE_CAP lanes; without inputs, perm[s] = circuit(s) for all 2**width s."""
     if inputs is None:
-        if circuit.width > _PERM_WIDTH_CAP:
-            raise SimulationError(f"permutation table capped at width {_PERM_WIDTH_CAP}")
+        if 1 << circuit.width > LANE_CAP:
+            raise SimulationError(f"width {circuit.width} is over the {LANE_CAP}-lane table cap")
         inputs = np.arange(1 << circuit.width, dtype=np.int64)
     inputs = np.asarray(inputs, dtype=np.int64)
     count = len(inputs)
-    if count > 1 << _PERM_WIDTH_CAP:
-        raise SimulationError(f"permutation table capped at {1 << _PERM_WIDTH_CAP} inputs")
+    if count > LANE_CAP:
+        raise SimulationError(f"{count} inputs are over the {LANE_CAP}-lane table cap")
     if count and (inputs.min() < 0 or inputs.max() >> circuit.width):
         raise SimulationError("input states have bits beyond the circuit width")
     # pack and unpack one qubit at a time, never a count x width bit matrix
@@ -126,12 +124,3 @@ def random_bits(rng: np.random.Generator, width: int) -> int:
     for off in range(0, width, 32):
         v |= int(rng.integers(0, 1 << 32)) << off
     return v & ((1 << width) - 1)
-
-
-def check_restores(perm: np.ndarray, qubits: Iterable[int]) -> bool:
-    """True when the permutation leaves every listed qubit bit-identical."""
-    v = np.arange(len(perm), dtype=np.int64)
-    for q in qubits:
-        if (((perm >> q) ^ (v >> q)) & 1).any():
-            return False
-    return True

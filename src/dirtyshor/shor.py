@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .modular import ModMulSpec, ctrl_modmul_inplace, multiplier_constants
-from .revsim import SimulationError, permutation_table
+from .revsim import LANE_CAP, SimulationError, permutation_table
 
 SV_WIDTH_CAP = 26
 NORM_TOL = 1e-10
@@ -29,25 +29,14 @@ class Statevector:
 
     __slots__ = ("width", "amps")
 
-    def __init__(self, width: int, value: int = 0, cap: int = SV_WIDTH_CAP):
-        if width < 1 or width > cap:
-            raise SimulationError(f"width {width} outside 1..{cap}")
+    def __init__(self, width: int, value: int = 0):
+        if width < 1 or width > SV_WIDTH_CAP:
+            raise SimulationError(f"width {width} outside 1..{SV_WIDTH_CAP}")
         if not 0 <= value < (1 << width):
             raise SimulationError(f"basis value {value} out of range")
         self.width = width
         self.amps = np.zeros(1 << width, dtype=np.complex128)
         self.amps[value] = 1.0
-
-    @classmethod
-    def from_amplitudes(cls, amps, cap: int = SV_WIDTH_CAP) -> "Statevector":
-        amps = np.asarray(amps, dtype=np.complex128)
-        width = (len(amps) - 1).bit_length()
-        if len(amps) != 1 << width:
-            raise SimulationError("amplitude count must be a power of two")
-        sv = cls(width, 0, cap)
-        sv.amps = amps.copy()
-        sv._check_norm()
-        return sv
 
     def copy(self) -> "Statevector":
         out = Statevector.__new__(Statevector)
@@ -173,13 +162,18 @@ def _multiplier_tables(N: int, a: int, count: int) -> list[np.ndarray]:
     return tables
 
 
+def _check_lanes(N: int) -> None:
+    """The one size limit: each multiplier table runs its 2N reachable inputs as lanes."""
+    if 2 * N > LANE_CAP:
+        raise SimulationError(f"N={N} needs {2 * N} table lanes, over the {LANE_CAP} cap")
+
+
 def _phase_estimation_setup(N: int, a: int) -> tuple[int, list[np.ndarray]]:
-    """n and the 2n multiplier tables, after the gcd and width checks."""
+    """n and the 2n multiplier tables, after the gcd and lane checks."""
     if math.gcd(a, N) != 1:
         raise ValueError(f"a={a} shares a factor with N={N}")
+    _check_lanes(N)
     n = N.bit_length()
-    if 2 * n + 2 > SV_WIDTH_CAP:
-        raise SimulationError(f"N={N} needs {2 * n + 2} qubits, over the {SV_WIDTH_CAP} cap")
     return n, _multiplier_tables(N, a, 2 * n)
 
 
@@ -330,18 +324,15 @@ class ShorOutcome:
 
 def validate_modulus(N: int) -> None:
     """Reject inputs the factoring loop cannot help with: even numbers,
-    primes, prime powers, and anything over the simulator width cap."""
+    primes, prime powers, and anything over the table lane cap."""
     if N < 3 or N % 2 == 0:
         raise ValueError("N must be an odd integer >= 3")
+    _check_lanes(N)  # before trial division, which is slow on large N
     if _is_prime(N):
         raise ValueError(f"N={N} is prime")
     root = _prime_power_root(N)
     if root is not None:
         raise ValueError(f"N={N} is a prime power of {root}")
-    if 2 * N.bit_length() + 2 > SV_WIDTH_CAP:
-        raise SimulationError(
-            f"N={N} needs {2 * N.bit_length() + 2} qubits, over the {SV_WIDTH_CAP} cap"
-        )
 
 
 def shor_factor(N: int, attempts: int = 16, seed: int = 0) -> ShorOutcome:

@@ -77,8 +77,7 @@ def test_criterion_1_adder_correctness():
 
 def test_criterion_2_count_formulas():
     for n in range(3, 65):
-        circ = carry_circuit(_mask(n), tuple(range(n)), tuple(range(n, 2 * n - 1)),
-                             2 * n - 1, width=2 * n)
+        circ = carry_circuit(_mask(n), tuple(range(n)), tuple(range(n, 2 * n - 1)), 2 * n - 1)
         measured = report(circ).toffoli_count
         assert measured == CARRY_COUNT(n), (n, measured)
     adder_counts = []

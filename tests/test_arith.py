@@ -11,7 +11,6 @@ from dirtyshor.adders import (
     carry_circuit,
     comparator,
     const_adder,
-    ctrl_const_adder,
     ctrl_incrementer,
     emit_carry,
     emit_const_add,
@@ -19,16 +18,9 @@ from dirtyshor.adders import (
     inplace_add,
     t_add_recursion,
 )
-from dirtyshor.circuits import (
-    Circuit,
-    CountingSink,
-    GateKind,
-    LoweringSink,
-    StateSink,
-    emit_circuit,
-)
+from dirtyshor.circuits import Circuit, CountingSink, GateKind, StateSink
 from dirtyshor.resources import report
-from dirtyshor.revsim import check_restores, permutation_table, run
+from dirtyshor.revsim import permutation_table, run
 
 
 def _mask(n: int) -> int:
@@ -96,12 +88,8 @@ def test_carry_controls_gate_the_target_only(n_ctrls):
         ctrls = tuple(range(2 * n, 2 * n + n_ctrls))
         width = 2 * n + n_ctrls
         for c in (1, 5, _mask(n)):
-            circ = carry_circuit(c, a, g, target, ctrls, width=width)
-            if n_ctrls == 2:
-                assert any(gt.kind == GateKind.MCX for gt in circ.gates)
-                lowered = Circuit(width)
-                emit_circuit(circ, LoweringSink(lowered, a))
-                circ = lowered
+            circ = carry_circuit(c, a, g, target, ctrls)
+            assert not any(gt.kind == GateKind.MCX for gt in circ.gates)
             perm = permutation_table(circ)
             assert (perm == _expect_carry(width, n, c, target, ctrls)).all(), (n, c)
 
@@ -114,9 +102,9 @@ def test_carry_count_formula():
 
 def test_carry_rung_requirement():
     with pytest.raises(SynthesisError):
-        carry_circuit(7, range(3), range(3, 4), 7, width=8)
+        carry_circuit(7, range(3), range(3, 4), 7)
     with pytest.raises(SynthesisError):
-        carry_circuit(3, range(2), (2,), 3, ctrls=(4, 5, 6), width=7)
+        carry_circuit(3, range(2), (2,), 3, ctrls=(4, 5, 6))
 
 
 def test_carry_non_elided_variant():
@@ -172,7 +160,7 @@ def test_ctrl_incrementer_exhaustive(m):
     g = tuple(range(m + 1, 2 * m + 1))
     for spare in (2 * m + 1, None):
         width = 2 * m + 2 if spare else 2 * m + 1
-        circ = ctrl_incrementer(x, ctrl, g, spare=spare, width=width)
+        circ = ctrl_incrementer(x, ctrl, g, spare=spare)
         v = np.arange(1 << width, dtype=np.int64)
         fire = (v >> ctrl) & 1
         want = (v & ~np.int64(_mask(m))) | ((v & _mask(m)) + fire) % (1 << m)
@@ -207,7 +195,8 @@ def test_const_adder_exhaustive(n):
         spec = AdderSpec.standard(n, c)
         perm = permutation_table(const_adder(spec))
         assert (perm == _expect_add(spec.width, n, c)).all(), (n, c)
-        assert check_restores(perm, spec.pool)
+        pool = sum(1 << q for q in spec.pool)
+        assert not ((perm ^ np.arange(len(perm))) & pool).any()  # dirty pool restored
 
 
 def test_const_adder_c_zero_is_empty():
@@ -310,7 +299,7 @@ def test_randomized_large_widths():
 def test_ctrl_const_adder_single_control(n):
     for c in (1, 2, _mask(n) - 2, _mask(n)):
         spec = AdderSpec.standard(n, c, n_ctrls=1)
-        perm = permutation_table(ctrl_const_adder(spec))
+        perm = permutation_table(const_adder(spec))
         # control off: identity on every qubit including the dirty pool
         assert (perm == _expect_add(spec.width, n, c, ctrls=spec.ctrls)).all(), (n, c)
 
@@ -319,17 +308,10 @@ def test_ctrl_const_adder_single_control(n):
 def test_ctrl_const_adder_two_controls(n):
     for c in (1, _mask(n)):
         spec = AdderSpec.standard(n, c, n_ctrls=2)
-        circ = ctrl_const_adder(spec)
+        circ = const_adder(spec)
         assert not any(g.kind == GateKind.MCX for g in circ.gates)
         perm = permutation_table(circ)
         assert (perm == _expect_add(spec.width, n, c, ctrls=spec.ctrls)).all(), (n, c)
-
-
-def test_ctrl_const_adder_needs_controls():
-    with pytest.raises(SynthesisError):
-        ctrl_const_adder(AdderSpec.standard(4, 3))
-    with pytest.raises(SynthesisError):
-        ctrl_const_adder(AdderSpec.standard(4, 3, n_ctrls=3))
 
 
 def test_control_promotion_touches_reads_and_base_nots_only():
@@ -339,8 +321,8 @@ def test_control_promotion_touches_reads_and_base_nots_only():
     for n in (2, 3, 4, 5, 8):
         c = _mask(n)
         r0 = report(const_adder(AdderSpec.standard(n, c)))
-        r1 = report(ctrl_const_adder(AdderSpec.standard(n, c, n_ctrls=1)))
-        r2 = report(ctrl_const_adder(AdderSpec.standard(n, c, n_ctrls=2)))
+        r1 = report(const_adder(AdderSpec.standard(n, c, n_ctrls=1)))
+        r2 = report(const_adder(AdderSpec.standard(n, c, n_ctrls=2)))
         reads = r1.toffoli_count - r0.toffoli_count
         base = bin(c).count("1")
         assert reads > 0

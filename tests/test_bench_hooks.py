@@ -1,5 +1,5 @@
-"""The benchmark's tracer wraps program functions by name; every name it
-patches must resolve, or `perfbench/run.py --trace 1` breaks."""
+"""The benchmark imports program names and its tracer wraps others by name;
+every one must resolve, or `perfbench/run.py` breaks."""
 
 import os
 import subprocess
@@ -30,9 +30,17 @@ _SCRIPT = textwrap.dedent(
 )
 
 
-def test_tracer_patches_resolve():
-    script = _SCRIPT.format(perfbench=os.path.join(ROOT, "perfbench"), src=os.path.join(ROOT, "src"))
+def _run(script: str) -> None:
+    script = script.format(perfbench=os.path.join(ROOT, "perfbench"), src=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def test_tracer_patches_resolve():
+    _run(_SCRIPT)
+
+
+def test_workloads_import():
+    _run("import sys\nsys.path[:0] = [{perfbench!r}, {src!r}]\nimport workloads\nprint('ok')")

@@ -19,7 +19,7 @@ from dirtyshor.circuits import (
     emit_circuit,
     emit_mcx,
 )
-from dirtyshor.revsim import check_restores, permutation_table, run
+from dirtyshor.revsim import permutation_table, run
 
 
 def test_append_accepts_valid_gates():
@@ -85,21 +85,11 @@ def test_reverse_reverses_order():
 def test_reverse_is_functional_inverse():
     spec = AdderSpec.standard(16, 0xBEEF)
     circ = const_adder(spec)
-    both = Circuit(circ.width)
-    both.extend(circ)
-    both.extend(circ.reverse())
+    both = Circuit(circ.width, circ.gates + circ.reverse().gates)
     rng = np.random.default_rng(3)
     for _ in range(100):
         s = int(rng.integers(0, 1 << circ.width))
         assert run(both, s) == s
-
-
-def test_extend_rejects_wider():
-    small = Circuit(2)
-    big = Circuit(3)
-    big.x(2)
-    with pytest.raises(CircuitError):
-        small.extend(big)
 
 
 # --------------------------------------------------------------------------
@@ -127,7 +117,7 @@ def test_lowered_mcx_equivalent_and_restores_dirty():
     want = permutation_table(circ)
     got = permutation_table(low)
     assert (want == got).all()
-    assert check_restores(got, [4])
+    assert not ((got ^ np.arange(len(got))) & 1 << 4).any()  # dirty qubit 4 restored
 
 
 def test_lowering_leaves_mcx_free_circuit_unchanged():
@@ -240,6 +230,8 @@ def test_text_skips_comments_and_blanks():
         "width 2\ncx q 0\n",
         "width 2\nccx\n",
         "width 2\ncx 0 0\n",
+        "width 3\nmcx 0 1 2\n",  # a Toffoli is spelled ccx
+        "width 2\nmcx 0 1\n",
     ],
 )
 def test_text_rejects_malformed(text):

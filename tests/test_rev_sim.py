@@ -12,7 +12,6 @@ from dirtyshor.circuits import Circuit, Gate, GateKind
 from dirtyshor.faultlab import SegmentExecutor
 from dirtyshor.revsim import (
     SimulationError,
-    check_restores,
     permutation_table,
     prefix_states,
     run,
@@ -128,9 +127,7 @@ def test_simulators_agree_with_reference(circ, data):
 @given(_circuit_pair())
 def test_composition_property(pair):
     c1, c2, s = pair
-    joined = Circuit(c1.width)
-    joined.extend(c1)
-    joined.extend(c2)
+    joined = Circuit(c1.width, c1.gates + c2.gates)
     assert run(joined, s) == run(c2, run(c1, s))
 
 
@@ -153,14 +150,6 @@ def test_permutation_table_width_cap():
         permutation_table(Circuit(1), np.zeros((1 << 22) + 1, dtype=np.int64))
     with pytest.raises(SimulationError):
         permutation_table(Circuit(2), np.array([4]))
-
-
-def test_check_restores():
-    circ = Circuit(3)
-    circ.cx(0, 1)
-    perm = permutation_table(circ)
-    assert check_restores(perm, [0, 2])
-    assert not check_restores(perm, [1])
 
 
 def test_throughput_regression_guard():

@@ -9,7 +9,7 @@ from dirtyshor import shor
 from dirtyshor.adders import AdderSpec, const_adder
 from dirtyshor.circuits import Circuit, Gate, GateKind
 from dirtyshor.faultlab import FaultSpec, inject
-from dirtyshor.modular import ModMulSpec, ctrl_modmul_inplace, mod_adder, modmul_forward
+from dirtyshor.modular import ModMulSpec, ctrl_modmul_inplace, emit_modmul_forward, mod_adder
 from dirtyshor.revsim import SimulationError, permutation_table, run
 from dirtyshor.shor import (
     SV_WIDTH_CAP,
@@ -26,6 +26,7 @@ from dirtyshor.shor import (
 )
 
 SQ2 = math.sqrt(0.5)
+SHOR_TV_TOL = 1e-9  # criterion 5's bound
 
 
 # --------------------------------------------------------------------------
@@ -38,10 +39,6 @@ def test_statevector_width_cap():
         Statevector(0)
     with pytest.raises(SimulationError):
         Statevector(SV_WIDTH_CAP + 1)
-    # the cap is configurable, not hardwired
-    assert Statevector(5, cap=5).width == 5
-    with pytest.raises(SimulationError):
-        Statevector(6, cap=5)
 
 
 def test_statevector_basis_value_range():
@@ -49,15 +46,6 @@ def test_statevector_basis_value_range():
     assert sv.amps[5] == 1.0
     with pytest.raises(SimulationError):
         Statevector(3, value=8)
-
-
-def test_from_amplitudes():
-    sv = Statevector.from_amplitudes([SQ2, 0.0, 0.0, SQ2])
-    assert sv.width == 2
-    with pytest.raises(SimulationError):
-        Statevector.from_amplitudes([1.0, 0.0, 0.0])  # not a power of two
-    with pytest.raises(SimulationError):
-        Statevector.from_amplitudes([1.0, 1.0])  # norm sqrt(2)
 
 
 def test_hadamard_is_self_inverse():
@@ -173,6 +161,58 @@ def test_distribution_survives_near_certain_measurements():
     assert abs(sum(dist.values()) - 1.0) <= 1e-12
 
 
+def _order(a: int, N: int) -> int:
+    r, x = 1, a % N
+    while x != 1:
+        x = x * a % N
+        r += 1
+    return r
+
+
+def _textbook_probability(N: int, a: int, ys) -> np.ndarray:
+    """P(y) of textbook phase estimation on |1> = r^(-1/2) sum_s |u_s>:
+    (1/r) sum_s sin^2(pi Q d_s) / (Q^2 sin^2(pi d_s)), d_s = s/r - y/Q,
+    with a term of 1 where d_s = 0. The semiclassical loop must sample the
+    same distribution (Griffiths and Niu, PRL 76, 3228, 1996)."""
+    r = _order(a, N)
+    Q = 1 << (2 * N.bit_length())
+    ys = np.asarray(ys, dtype=np.int64)
+    p = np.zeros(len(ys))
+    for s in range(r):
+        k = s * Q - ys * r  # r Q d_s, an exact integer
+        peak = k == 0
+        den = np.where(peak, 1.0, Q**2 * np.sin(np.pi * k / (r * Q)) ** 2)
+        p += np.where(peak, 1.0, np.sin(np.pi * k / r) ** 2 / den)
+    return p / r
+
+
+def _near_peak(y: int, r: int, Q: int) -> bool:
+    """|y/Q - s/r| <= 1/Q for some s; ideal phase estimation lands there
+    with probability at least 8/pi^2."""
+    s = (2 * y * r + Q) // (2 * Q)
+    return abs(y * r - s * Q) <= r
+
+
+def test_distribution_matches_textbook_oracle():
+    # orders 3, 6, 10 and 18: none divides Q, so every phase correction counts
+    for N, a in ((21, 2), (21, 4), (21, 5), (21, 10), (21, 11), (21, 16), (21, 17), (21, 19),
+                 (33, 5), (57, 2)):
+        Q = 1 << (2 * N.bit_length())
+        got = np.zeros(Q)
+        for y, p in exact_outcome_distribution(N, a).items():
+            got[y] = p
+        tv = 0.5 * np.abs(got - _textbook_probability(N, a, np.arange(Q))).sum()
+        assert tv <= SHOR_TV_TOL, (N, a, tv)
+
+
+def test_sampled_outcomes_land_near_textbook_peaks():
+    # order 6 at 9 bits; a uniform y would land near a peak with odds 2r/Q
+    N, a = 427, 13
+    r, Q = _order(a, N), 1 << (2 * N.bit_length())
+    ys = [shor_period_finding(N, a, seed=s).y for s in range(32)]
+    assert sum(_near_peak(y, r, Q) for y in ys) / len(ys) >= 0.6
+
+
 def test_distribution_rejects_shared_factor():
     with pytest.raises(ValueError):
         exact_outcome_distribution(15, 6)
@@ -202,7 +242,7 @@ def test_order_to_factors():
 
 
 def test_validate_modulus():
-    for N in (15, 21, 33, 4095):
+    for N in (15, 21, 33, 4095, 4097, 2097151):
         validate_modulus(N)
     for bad in (1, 16, -3):
         with pytest.raises(ValueError):
@@ -213,8 +253,10 @@ def test_validate_modulus():
     for pp in (9, 25, 27, 49):
         with pytest.raises(ValueError):
             validate_modulus(pp)
-    with pytest.raises(SimulationError):
-        validate_modulus(4097)  # 17 * 241, but 28 qubits
+    with pytest.raises(SimulationError, match="table lanes"):
+        validate_modulus(2097153)  # 3^2 * 43 * 5419: 2N is over the lane cap
+    with pytest.raises(SimulationError, match="table lanes"):
+        validate_modulus((1 << 61) - 1)  # a prime, refused by size before trial division
 
 
 # --------------------------------------------------------------------------
@@ -240,6 +282,24 @@ def test_period_finding_past_the_exhaustive_table_cap(N):
     assert run_.r is None or pow(2, run_.r, N) == 1
 
 
+def test_period_finding_factors_a_16_bit_modulus():
+    # 251 * 257 with a base of order 20; every one of the six distinct
+    # multipliers is checked on all 2N reachable inputs
+    N, a = 64507, 1526
+    run_ = shor_period_finding(N, a, seed=2)
+    assert _near_peak(run_.y, _order(a, N), 1 << 32)
+    assert run_.factors == (251, 257)
+
+
+def test_period_finding_checks_lanes_before_synthesis(monkeypatch):
+    def build(spec):
+        raise AssertionError("synthesized a multiplier past the lane cap")
+
+    monkeypatch.setattr(shor, "ctrl_modmul_inplace", build)
+    with pytest.raises(SimulationError, match="table lanes"):
+        shor_period_finding(2097153, 2)
+
+
 def _corrupt(circ: Circuit, fault: FaultSpec) -> Circuit:
     gates = list(circ.gates)
     if fault.kind == "missing":
@@ -254,7 +314,9 @@ def test_corrupted_multiplier_is_rejected(monkeypatch, kind):
     spec = ModMulSpec.standard(7, 15)
     circ = ctrl_modmul_inplace(spec)
     if kind == "missing":  # the first Toffoli of the controlled swap
-        fault = FaultSpec("missing", len(modmul_forward(spec).gates) + 1)
+        forward = Circuit(spec.width)
+        emit_modmul_forward(forward, spec)
+        fault = FaultSpec("missing", len(forward.gates) + 1)
     else:  # dirties work qubit 0 after the last gate
         fault = FaultSpec("bitflip", len(circ.gates) - 1, spec.work[0])
     assert kind == "bitflip" or circ.gates[fault.index].kind == GateKind.CCX
@@ -297,7 +359,7 @@ def test_shor_factor_rejects_bad_modulus():
     with pytest.raises(ValueError):
         shor_factor(25)
     with pytest.raises(SimulationError):
-        shor_factor(4097)
+        shor_factor(2097153)
 
 
 def test_transcript_format():
