@@ -16,6 +16,7 @@ from .faultlab import (
     FaultError,
     InconclusiveError,
     call_bound,
+    fault_detect,
     fault_localize,
     inject,
     parse_faults,
@@ -23,11 +24,26 @@ from .faultlab import (
 )
 from .modular import ModMulSpec, NotCoprimeError, mod_adder, ctrl_modmul_inplace
 from .resources import report, rows_to_csv, scaling_table
+# prefix_states has no caller here; perfbench/tracing.py wraps cli.prefix_states by name
 from .revsim import SimulationError, prefix_states, run as rev_run
 from .shor import format_transcript, shor_factor, shor_period_finding, validate_modulus
 
 _SYNTH_KINDS = ("carry", "add", "cadd", "cmp", "modadd", "modmul")
 DEFAULT_SCALE_SIZES = (8, 16, 32, 64, 128, 256, 512)
+
+
+def positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def size_list(text: str) -> list[int]:
+    sizes = [positive(s) for s in text.split(",") if s.strip()]
+    if not sizes:
+        raise argparse.ArgumentTypeError("needs at least one size")
+    return sizes
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,7 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, help="classical constant (carry/add/cadd/cmp)")
     p.add_argument("--N", type=int, help="modulus (modadd/modmul)")
     p.add_argument("--a", type=int, help="addend or multiplier (modadd/modmul)")
-    p.add_argument("--ctrls", type=int, default=0, help="number of control qubits (0-2)")
+    p.add_argument("--ctrls", type=int, choices=range(3), default=0,
+                   help="number of control qubits (0-2)")
     p.add_argument("--mode", choices=("serial", "parallel"), default="serial")
     p.add_argument("--pool", type=int, default=2, help="dirty pool size for add/cadd")
     p.add_argument("--out", help="write circuit text here; default stdout")
@@ -55,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scale", help="Toffoli-count scaling table as CSV")
     p.add_argument("--harness", choices=("adder", "modmul"), required=True)
-    p.add_argument("--sizes", help="comma-separated bit sizes, ascending "
+    p.add_argument("--sizes", type=size_list, default=list(DEFAULT_SCALE_SIZES),
+                   help="comma-separated bit sizes, ascending "
                    f"(default {','.join(map(str, DEFAULT_SCALE_SIZES))})")
     p.add_argument("--mode", choices=("serial", "parallel"), default="serial")
     p.add_argument("--seed", type=int, default=0)
@@ -65,12 +83,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--a", type=int, help="fixed base; omit to sample from --seed")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--attempts", type=int, default=16)
+    p.add_argument("--attempts", type=positive, default=16)
 
     p = sub.add_parser("faultscan", help="inject faults, test triggering, localize")
     p.add_argument("--circuit", required=True, help="circuit text file")
     p.add_argument("--faults", required=True, help="fault lines file")
-    p.add_argument("--vectors", type=int, default=5, help="random test vectors")
+    p.add_argument("--vectors", type=positive, default=5, help="random test vectors")
     p.add_argument("--seed", type=int, default=0)
     return top
 
@@ -140,11 +158,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 
 
 def _cmd_scale(args: argparse.Namespace) -> int:
-    if args.sizes:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    else:
-        sizes = list(DEFAULT_SCALE_SIZES)
-    rows = scaling_table(sizes, harness=args.harness, mode=args.mode, seed=args.seed)
+    rows = scaling_table(args.sizes, harness=args.harness, mode=args.mode, seed=args.seed)
     csv = rows_to_csv(rows)
     if args.out:
         with open(args.out, "w") as fh:
@@ -186,11 +200,7 @@ def _cmd_faultscan(args: argparse.Namespace) -> int:
         faults = parse_faults(fh.read())
     executor = inject(circ, faults)
     vectors = random_vectors(circ.width, args.vectors, args.seed)
-    triggered = 0
-    for v in vectors:
-        golden = prefix_states(circ, v)[-1]
-        if executor.run(0, executor.n_gates, v) != golden:
-            triggered += 1
+    triggered = fault_detect(executor, circ, vectors)
     print(f"gates={len(circ.gates)} width={circ.width} faults={len(faults)}")
     print(f"triggered={triggered}/{len(vectors)}")
     if triggered:

@@ -8,7 +8,9 @@ localization bisects: feed each half its golden input state, see which
 half's output deviates, recurse. A single triggered fault deviates in
 exactly one half per level, so the faulty gate index is pinned in
 ceil(log2 G) rounds; multiple faults may flag both halves and come back
-as a list of ranges.
+as a list of ranges. The golden states are checkpoints carried down the
+bisection (each range's lo and hi, mid recomputed from lo), so a vector
+never holds more than O(log G) states.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, CircuitError, StateSink, emit_circuit
+# prefix_states has no caller here; perfbench/tracing.py wraps faultlab.prefix_states by name
 from .revsim import prefix_states, random_bits, run
 
 _FAULT_KINDS = ("missing", "bitflip")
@@ -123,13 +126,11 @@ def call_bound(n_gates: int, n_vectors: int) -> int:
     return 2 * n_vectors * (rounds + 1)
 
 
-def fault_detect(executor: SegmentExecutor, circuit: Circuit, vectors) -> bool:
-    """True iff some vector's full-range output differs from fault-free sim."""
-    for v in [int(v) for v in vectors]:
-        golden = run(circuit, v)
-        if executor.run(0, executor.n_gates, v) != golden:
-            return True
-    return False
+def fault_detect(executor: SegmentExecutor, circuit: Circuit, vectors) -> int:
+    """How many vectors' full-range outputs differ from fault-free sim;
+    0 means the fault set is not detected. One executor call per vector."""
+    return sum(executor.run(0, executor.n_gates, v) != run(circuit, v)
+               for v in [int(v) for v in vectors])
 
 
 def fault_localize(executor: SegmentExecutor, circuit: Circuit, vectors) -> list[tuple[int, int]]:
@@ -139,6 +140,9 @@ def fault_localize(executor: SegmentExecutor, circuit: Circuit, vectors) -> list
 
     Each bisection level feeds both halves their golden (fault-free) input
     states, so a deviation in a half certifies a triggered fault inside it.
+    A range carries its golden states at lo and hi for every vector; the
+    state at mid is recomputed from lo by a fault-free executor, so a
+    vector holds at most two states per level of the descent.
     Raises InconclusiveError when no vector shows any full-range deviation.
     """
     values = [int(v) for v in vectors]
@@ -147,45 +151,34 @@ def fault_localize(executor: SegmentExecutor, circuit: Circuit, vectors) -> list
     n_gates = executor.n_gates
     if n_gates == 0:
         raise InconclusiveError("empty circuit")
-    prefixes = [prefix_states(circuit, v) for v in values]
-    budget = call_bound(n_gates, len(values))
-    start_calls = executor.calls
+    golden = SegmentExecutor(circuit, ())
+    budget = call_bound(n_gates, len(values)) + executor.calls
 
-    def affordable(need: int) -> bool:
-        return executor.calls - start_calls + need <= budget
+    def deviates(lo: int, hi: int, ins: list[int], outs: list[int]) -> bool:
+        return any(executor.run(lo, hi, s) != o for s, o in zip(ins, outs))
 
-    def deviates(lo: int, hi: int) -> bool:
-        for pref in prefixes:
-            if executor.run(lo, hi, pref[lo]) != pref[hi]:
-                return True
-        return False
-
-    if not deviates(0, n_gates):
+    outs = [golden.run(0, n_gates, v) for v in values]
+    if not deviates(0, n_gates, values, outs):
         raise InconclusiveError("vectors never trigger the fault end to end")
 
     ranges: list[tuple[int, int]] = []
 
-    def descend(lo: int, hi: int) -> None:
-        if hi - lo == 1:
-            ranges.append((lo, hi))
-            return
-        if not affordable(2 * len(values)):
+    def descend(lo: int, hi: int, ins: list[int], outs: list[int]) -> None:
+        if hi - lo == 1 or executor.calls + 2 * len(values) > budget:
             ranges.append((lo, hi))
             return
         mid = (lo + hi) // 2
-        left = deviates(lo, mid)
-        right = deviates(mid, hi)
-        if not left and not right:
-            # faults straddle the cut and cancel on these vectors; report
-            # the whole range rather than guess
-            ranges.append((lo, hi))
-            return
+        mids = [golden.run(lo, mid, s) for s in ins]
+        # test both halves before entering either; some vector deviates on
+        # this range from its golden input, so at least one half deviates
+        left = deviates(lo, mid, ins, mids)
+        right = deviates(mid, hi, mids, outs)
         if left:
-            descend(lo, mid)
+            descend(lo, mid, ins, mids)
         if right:
-            descend(mid, hi)
+            descend(mid, hi, mids, outs)
 
-    descend(0, n_gates)
+    descend(0, n_gates, values, outs)
     return ranges
 
 

@@ -151,6 +151,8 @@ def scaling_table(
     sizes = list(sizes)
     if sizes != sorted(sizes):
         raise ValueError("sizes must be ascending")
+    if sizes and sizes[0] < 1:
+        raise ValueError(f"sizes must be at least 1, got {sizes[0]}")
     if harness not in _HARNESSES:
         raise ValueError(f"unknown harness {harness!r}")
     build = _HARNESSES[harness]

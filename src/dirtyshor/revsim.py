@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import Circuit, StateSink, emit_circuit
+from .circuits import Circuit, StateSink, emit_circuit, emit_gates
 
 LANE_CAP = 1 << 22  # lanes per table: 32 MiB of int64 images
 
@@ -31,37 +31,14 @@ def run(circuit: Circuit, state: int) -> int:
     return sink.state
 
 
-class _PrefixSink(StateSink):
-    """StateSink that also appends the state after every gate to a list."""
-
-    __slots__ = ("states",)
-
-    def __init__(self, state: int):
-        super().__init__(state)
-        self.states = [state]
-
-    def x(self, t: int) -> None:
-        StateSink.x(self, t)
-        self.states.append(self.state)
-
-    def cx(self, c: int, t: int) -> None:
-        StateSink.cx(self, c, t)
-        self.states.append(self.state)
-
-    def ccx(self, c1: int, c2: int, t: int) -> None:
-        StateSink.ccx(self, c1, c2, t)
-        self.states.append(self.state)
-
-    def mcx(self, controls: tuple[int, ...], t: int) -> None:
-        StateSink.mcx(self, controls, t)
-        self.states.append(self.state)
-
-
 def prefix_states(circuit: Circuit, state: int) -> list[int]:
-    """All len(circuit)+1 prefix states in one pass."""
-    sink = _PrefixSink(state)
-    emit_circuit(circuit, sink)
-    return sink.states
+    """All len(circuit)+1 prefix states, one gate at a time."""
+    sink = StateSink(state)
+    states = [state]
+    for gate in circuit.gates:
+        emit_gates((gate,), sink)
+        states.append(sink.state)
+    return states
 
 
 class LaneSink:

@@ -29,6 +29,35 @@ _SCRIPT = textwrap.dedent(
     """
 )
 
+_FAULTSCAN_SCRIPT = textwrap.dedent(
+    """
+    import contextlib, io, os, sys, tempfile
+    sys.path[:0] = [{perfbench!r}, {src!r}]
+    import tracing
+    from dirtyshor import cli
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    with tempfile.TemporaryDirectory() as tmp:
+        circ, faults = os.path.join(tmp, "c.txt"), os.path.join(tmp, "f.txt")
+        with open(circ, "w") as fh:
+            fh.write("width 4\\nx 3\\ncx 3 2\\nccx 0 1 2\\nx 3\\n")
+        with open(faults, "w") as fh:
+            fh.write("missing 2\\n")
+        argv = ["faultscan", "--circuit", circ, "--faults", faults, "--vectors", "4"]
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            code, _ = tracer.run_op(lambda _: cli.main(argv), None)
+    assert code == 0
+    assert "triggered=2/4\\nranges=2:3\\n" in printed.getvalue(), printed.getvalue()
+    assert tracer.self_s["cli.faultscan_s"] > 0, dict(tracer.self_s)
+    assert tracer.self_s["faultlab.bisect_s"] > 0, dict(tracer.self_s)
+    assert tracer.counts["faultlab.segment_calls"] > 0, dict(tracer.counts)
+    assert tracer.counts["revsim.prefix_calls"] == 0, dict(tracer.counts)
+    print("ok")
+    """
+)
+
 
 def _run(script: str) -> None:
     script = script.format(perfbench=os.path.join(ROOT, "perfbench"), src=os.path.join(ROOT, "src"))
@@ -44,3 +73,7 @@ def test_tracer_patches_resolve():
 
 def test_workloads_import():
     _run("import sys\nsys.path[:0] = [{perfbench!r}, {src!r}]\nimport workloads\nprint('ok')")
+
+
+def test_traced_faultscan_books_its_layers():
+    _run(_FAULTSCAN_SCRIPT)

@@ -224,6 +224,19 @@ def test_faultscan_never_triggered(tmp_path, capsys):
     assert out.splitlines()[2] == "ranges=none"
 
 
+def test_faultscan_counts_partial_triggering(tmp_path, capsys):
+    # the missing Toffoli fires only where qubits 0 and 1 are both 1: on
+    # vectors 7 and 7 of [7, 7, 1, 0]
+    circ_path = tmp_path / "c4.txt"
+    circ_path.write_text("width 4\nx 3\ncx 3 2\nccx 0 1 2\nx 3\n")
+    fault_path = tmp_path / "faults.txt"
+    fault_path.write_text("missing 2\n")
+    code, out, _ = _run(capsys, ["faultscan", "--circuit", str(circ_path),
+                                 "--faults", str(fault_path), "--vectors", "4"])
+    assert code == 0
+    assert out == "gates=4 width=4 faults=1\ntriggered=2/4\nranges=2:3\ncalls=11 bound=24\n"
+
+
 def test_faultscan_bad_fault_file(tmp_path, capsys):
     circ_path = tmp_path / "ccx.txt"
     circ_path.write_text("width 3\nccx 0 1 2\n")
@@ -249,6 +262,26 @@ def test_help_exits_zero(argv, capsys):
         main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["faultscan", "--circuit", "c.txt", "--faults", "f.txt", "--vectors", "-3"], "--vectors"),
+     (["faultscan", "--circuit", "c.txt", "--faults", "f.txt", "--vectors", "0"], "--vectors"),
+     (["synth", "cadd", "--n", "4", "--c", "11", "--ctrls", "3"], "--ctrls"),
+     (["synth", "cadd", "--n", "4", "--c", "11", "--ctrls", "-1"], "--ctrls"),
+     (["shor", "--N", "15", "--attempts", "-1"], "--attempts"),
+     (["shor", "--N", "15", "--attempts", "0"], "--attempts"),
+     (["scale", "--harness", "adder", "--sizes", "0,4"], "--sizes"),
+     (["scale", "--harness", "adder", "--sizes", ","], "--sizes")],
+)
+def test_out_of_range_counts_are_rejected(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}:" in captured.err
 
 
 @pytest.mark.parametrize("argv", [[], ["scale"], ["shor"], ["teleport"]])

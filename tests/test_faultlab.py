@@ -1,5 +1,7 @@
 """Fault injection, detection and budgeted bisection localization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,11 +167,21 @@ def test_executor_random_faults_match_reference(case):
 def test_detect_counts_one_call_per_vector():
     circ = _x_chain(3, [0, 1, 2])
     ex = inject(circ, [FaultSpec("missing", 1)])
-    assert fault_detect(ex, circ, [0, 5, 7]) is True
-    assert ex.calls >= 1
+    assert fault_detect(ex, circ, [0, 5, 7]) == 3
+    assert ex.calls == 3
     clean = inject(circ, [])
-    assert fault_detect(clean, circ, [0, 5, 7]) is False
+    assert fault_detect(clean, circ, [0, 5, 7]) == 0
     assert clean.calls == 3
+
+
+def test_detect_counts_only_the_triggering_vectors():
+    # a missing Toffoli changes the output exactly when both controls are 1
+    circ = Circuit(3)
+    circ.ccx(0, 1, 2)
+    ex = inject(circ, [FaultSpec("missing", 0)])
+    vectors = list(range(8))
+    assert fault_detect(ex, circ, vectors) == sum(v & 0b11 == 0b11 for v in vectors) == 2
+    assert ex.calls == len(vectors)
 
 
 # --------------------------------------------------------------------------
@@ -209,7 +221,7 @@ def test_dual_fault_budget_exhaustion_reports_coarse_range():
 def test_cancelling_faults_are_inconclusive():
     circ = _x_chain(4, [0, 0, 0, 0])
     ex = inject(circ, [FaultSpec("missing", 1), FaultSpec("missing", 2)])
-    assert fault_detect(ex, circ, [0, 3, 7]) is False
+    assert fault_detect(ex, circ, [0, 3, 7]) == 0
     with pytest.raises(InconclusiveError):
         fault_localize(ex, circ, [0, 3, 7])
 
@@ -218,7 +230,7 @@ def test_cancelling_bitflips_are_inconclusive():
     circ = _x_chain(2, [0, 1])
     twice = [FaultSpec("bitflip", 1, 0), FaultSpec("bitflip", 1, 0)]
     ex = inject(circ, twice)
-    assert fault_detect(ex, circ, [0, 1, 2]) is False
+    assert fault_detect(ex, circ, [0, 1, 2]) == 0
     with pytest.raises(InconclusiveError):
         fault_localize(ex, circ, [0, 1, 2])
 
@@ -229,7 +241,7 @@ def test_never_triggered_fault_is_inconclusive():
     vectors = random_vectors(3, 3, seed=2)
     assert all(v & 0b11 != 0b11 for v in vectors)
     ex = inject(circ, [FaultSpec("missing", 0)])
-    assert fault_detect(ex, circ, vectors) is False
+    assert fault_detect(ex, circ, vectors) == 0
     with pytest.raises(InconclusiveError):
         fault_localize(ex, circ, vectors)
 
@@ -268,6 +280,117 @@ def test_localization_trials_on_an_adder():
         ranges, calls, n_vecs = _pin_single_fault(circ, idx, seed=trial)
         assert ranges == [(idx, idx + 1)], f"gate {idx}: got {ranges}"
         assert calls <= call_bound(n_gates, n_vecs)
+
+
+def _prefix_list_localize(executor, circ: Circuit, values):
+    """Bisection over full golden prefix lists, G+1 states per vector: the
+    reference that checkpointed localization must match range for range and
+    call for call."""
+    n_gates = executor.n_gates
+    prefixes = [prefix_states(circ, v) for v in values]
+    budget = call_bound(n_gates, len(values))
+    start = executor.calls
+
+    def deviates(lo, hi):
+        return any(executor.run(lo, hi, pref[lo]) != pref[hi] for pref in prefixes)
+
+    if not deviates(0, n_gates):
+        raise InconclusiveError("never triggered")
+    ranges = []
+
+    def descend(lo, hi):
+        if hi - lo == 1 or executor.calls - start + 2 * len(values) > budget:
+            ranges.append((lo, hi))
+            return
+        mid = (lo + hi) // 2
+        left, right = deviates(lo, mid), deviates(mid, hi)
+        if not left and not right:
+            ranges.append((lo, hi))
+            return
+        if left:
+            descend(lo, mid)
+        if right:
+            descend(mid, hi)
+
+    descend(0, n_gates)
+    return ranges
+
+
+def _localize_both_ways(circ: Circuit, faults, vectors):
+    """(ranges or None when inconclusive, executor calls) for the checkpointed
+    localizer and for the prefix-list reference."""
+    out = []
+    for localize in (fault_localize, _prefix_list_localize):
+        ex = inject(circ, faults)
+        try:
+            ranges = localize(ex, circ, vectors)
+        except InconclusiveError:
+            ranges = None
+        out.append((ranges, ex.calls))
+    return out
+
+
+@st.composite
+def _localization_case(draw):
+    width = draw(st.integers(3, 7))
+    circ = Circuit(width)
+    for _ in range(draw(st.integers(1, 40))):
+        qubits = draw(st.permutations(range(width)))
+        k = draw(st.integers(0, 2))
+        circ.append(Gate((GateKind.X, GateKind.CX, GateKind.CCX)[k], tuple(qubits[:k]), qubits[k]))
+    faults = []
+    for _ in range(draw(st.integers(1, 3))):
+        idx = draw(st.integers(0, len(circ.gates) - 1))
+        if draw(st.booleans()):
+            faults.append(FaultSpec("missing", idx))
+        else:
+            faults.append(FaultSpec("bitflip", idx, draw(st.integers(0, width - 1))))
+    vectors = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=4))
+    return circ, faults, vectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(_localization_case())
+def test_checkpoints_match_prefix_list_localization(case):
+    checkpointed, reference = _localize_both_ways(*case)
+    assert checkpointed == reference
+
+
+@pytest.mark.parametrize(
+    "targets, faults, vectors, want",
+    [
+        # the budget runs out after the first fault is pinned
+        (range(8), [FaultSpec("missing", 3), FaultSpec("missing", 5)], [0], [(3, 4), (4, 8)]),
+        # two missing X gates on one qubit cancel end to end
+        ([0, 0, 0, 0], [FaultSpec("missing", 1), FaultSpec("missing", 2)], [0, 3, 7], None),
+        # two bitflips after one gate cancel
+        ([0, 1], [FaultSpec("bitflip", 1, 0), FaultSpec("bitflip", 1, 0)], [0, 1, 2], None),
+        # a missing gate and a bitflip on the same qubit cancel across the cut
+        ([0, 1, 2, 3], [FaultSpec("missing", 0), FaultSpec("bitflip", 3, 0)], [0, 5], None),
+    ],
+)
+def test_budget_and_cancelling_cases_match_prefix_list_localization(targets, faults, vectors, want):
+    circ = _x_chain(4 if max(targets) < 4 else 8, targets)
+    (ranges, calls), reference = _localize_both_ways(circ, faults, vectors)
+    assert (ranges, calls) == reference
+    assert ranges == want
+
+
+def test_localize_memory_stays_logarithmic():
+    # G+1 prefix states per vector peak near 1.4 MiB here; O(log G)
+    # checkpoints leave the executor's 167 KiB slice of the gate list on top
+    circ = const_adder(AdderSpec.standard(128, (1 << 128) - 1))
+    assert len(circ.gates) == 21382
+    ex = inject(circ, [FaultSpec("bitflip", 7127, 0)])
+    vectors = random_vectors(circ.width, 2, seed=1)
+    tracemalloc.start()
+    try:
+        ranges = fault_localize(ex, circ, vectors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ranges == [(7127, 7128)]
+    assert peak < 512 * 1024, f"peak {peak} bytes"
 
 
 def test_golden_reference_matches_prefix_states():

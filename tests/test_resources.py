@@ -108,6 +108,9 @@ def test_scaling_table_validation():
         scaling_table([16, 8], harness="adder")
     with pytest.raises(ValueError):
         scaling_table([8], harness="grover")
+    for sizes in ([0, 4], [-2], [0]):
+        with pytest.raises(ValueError, match="at least 1"):
+            scaling_table(sizes, harness="adder")
 
 
 def test_rows_to_csv_format():
