@@ -1,7 +1,7 @@
 """Toffoli-based modular arithmetic on dirty ancillae, with a factoring driver.
 
-Layering, bottom up: `circuits` (gate IR, sinks, lowering, the one
-`emit_gates` dispatch), `revsim` (simulators as sinks), `adders`
+Layering, bottom up: `circuits` (gate IR, sinks with whole-block
+`run_ops`, lowering, `emit_gates`), `revsim` (runs on lanes), `adders`
 (carry / incrementer / constant adder on borrowed qubits), `modular`
 (modular adder and the 2n+2-qubit controlled multiplier), `resources`
 (counts, depth, scaling fits), `shor` (statevector backend and

@@ -4,17 +4,18 @@ Circuits are flat gate lists over qubits indexed 0..width-1, little endian
 (qubit i of a register carries weight 2**i). Every gate is the triple
 (kind, controls, target) of a NOT with zero or more controls: X, CX, CCX
 or MCX, so every circuit is a classical reversible permutation of basis
-states, and a basis state is one python int with bit i = qubit i. The
-phase estimation driver's Hadamard, phase and measurement steps act on its
-statevector directly and are never stored as gates. Synthesis routines
-emit into any "sink" exposing x/cx/ccx/mcx methods. Stored circuits and
-recorded blocks hold the same triples and replay through the one
-emit_gates loop, so counting, simulation, lowering, recording and
-materialization share one dispatch.
+states; a basis state is one python int with bit i = qubit i, simulated
+as a one-lane LaneSink. The phase estimation driver's Hadamard, phase and
+measurement steps act on its statevector directly and are never stored
+as gates. Synthesis routines emit into any "sink" exposing x/cx/ccx/mcx.
+Stored circuits and recorded blocks hold the same triples and replay
+through emit_gates, which hands a whole block to a sink's run_ops (the
+counting, lane, tee and recording sinks) and otherwise dispatches per gate.
 """
 from __future__ import annotations
 
 from enum import IntEnum
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -130,42 +131,53 @@ class CountingSink:
         self.depth = 0
         self._frontier = [0] * width
 
-    # the three hot methods inline their frontier updates; emission spends
-    # most of its time here, so no shared _place helper
-
     def x(self, t: int) -> None:
-        self.not_ += 1
-        f = self._frontier
-        layer = f[t] + 1
-        f[t] = layer
-        if layer > self.depth:
-            self.depth = layer
+        self.run_ops(((_X, (), t),))
 
     def cx(self, c: int, t: int) -> None:
-        self.cnot += 1
-        f = self._frontier
-        a, b = f[c], f[t]
-        layer = (a if a > b else b) + 1
-        f[c] = f[t] = layer
-        if layer > self.depth:
-            self.depth = layer
+        self.run_ops(((_CX, (c,), t),))
 
     def ccx(self, c1: int, c2: int, t: int) -> None:
-        self.toffoli += 1
-        f = self._frontier
-        layer = f[c1]
-        b, c = f[c2], f[t]
-        if b > layer:
-            layer = b
-        if c > layer:
-            layer = c
-        layer += 1
-        f[c1] = f[c2] = f[t] = layer
-        if layer > self.depth:
-            self.depth = layer
+        self.run_ops(((_CCX, (c1, c2), t),))
 
     def mcx(self, controls: tuple[int, ...], t: int) -> None:
         raise CircuitError("MCX must be lowered before resource counting")
+
+    def run_ops(self, ops) -> None:
+        f, depth = self._frontier, self.depth
+        tof = cnot = nots = 0
+        X, CX, CCX = _X, _CX, _CCX
+        try:
+            for k, c, t in ops:
+                if k == CCX:
+                    c1, c2 = c
+                    layer, a, b = f[c1], f[c2], f[t]
+                    if a > layer:
+                        layer = a
+                    if b > layer:
+                        layer = b
+                    layer += 1
+                    f[c1] = f[c2] = f[t] = layer
+                    tof += 1
+                elif k == CX:
+                    c1 = c[0]
+                    a, b = f[c1], f[t]
+                    layer = (a if a > b else b) + 1
+                    f[c1] = f[t] = layer
+                    cnot += 1
+                elif k == X:
+                    layer = f[t] + 1
+                    f[t] = layer
+                    nots += 1
+                else:
+                    self.mcx(c, t)
+                if layer > depth:
+                    depth = layer
+        finally:
+            self.toffoli += tof
+            self.cnot += cnot
+            self.not_ += nots
+            self.depth = depth
 
     @property
     def width_touched(self) -> int:
@@ -175,34 +187,6 @@ class CountingSink:
     @property
     def total(self) -> int:
         return self.toffoli + self.cnot + self.not_
-
-
-class StateSink:
-    """Applies emitted gates directly to a packed-bit basis state."""
-
-    __slots__ = ("state",)
-
-    def __init__(self, state: int):
-        self.state = state
-
-    def x(self, t: int) -> None:
-        self.state ^= 1 << t
-
-    def cx(self, c: int, t: int) -> None:
-        if (self.state >> c) & 1:
-            self.state ^= 1 << t
-
-    def ccx(self, c1: int, c2: int, t: int) -> None:
-        s = self.state
-        if (s >> c1) & 1 and (s >> c2) & 1:
-            self.state ^= 1 << t
-
-    def mcx(self, controls: tuple[int, ...], t: int) -> None:
-        s = self.state
-        for c in controls:
-            if not (s >> c) & 1:
-                return
-        self.state ^= 1 << t
 
 
 class RecordingSink:
@@ -231,17 +215,90 @@ class RecordingSink:
     def mcx(self, controls: tuple[int, ...], t: int) -> None:
         self.ops.append((_MCX, controls, t))
 
+    def run_ops(self, ops) -> None:
+        self.ops.extend(ops)
+
     def replay(self, sink) -> None:
-        if isinstance(sink, RecordingSink):
-            sink.ops.extend(self.ops)
-        else:
-            emit_gates(self.ops, sink)
+        emit_gates(self.ops, sink)
 
     def replay_reversed(self, sink) -> None:
-        if isinstance(sink, RecordingSink):
-            sink.ops.extend(reversed(self.ops))
-        else:
-            emit_gates(reversed(self.ops), sink)
+        emit_gates(reversed(self.ops), sink)
+
+
+class LaneSink:
+    """Bit-sliced basis states (Biham 1997): lanes[q] holds qubit q of every
+    lane, bit k for lane k, so a gate is one big-integer XOR across lanes.
+
+    A qubit past the end of lanes reads as 0 in every lane; the list grows
+    the first time a gate touches it.
+    """
+
+    __slots__ = ("lanes", "full")
+
+    def __init__(self, lanes: list[int], full: int):
+        self.lanes = lanes
+        self.full = full
+
+    def x(self, t: int) -> None:
+        try:
+            self.lanes[t] ^= self.full
+        except IndexError:
+            self.run_ops(((_X, (), t),))
+
+    def cx(self, c: int, t: int) -> None:
+        try:
+            self.lanes[t] ^= self.lanes[c]
+        except IndexError:
+            self.run_ops(((_CX, (c,), t),))
+
+    def ccx(self, c1: int, c2: int, t: int) -> None:
+        try:
+            self.lanes[t] ^= self.lanes[c1] & self.lanes[c2]
+        except IndexError:
+            self.run_ops(((_CCX, (c1, c2), t),))
+
+    def mcx(self, controls: tuple[int, ...], t: int) -> None:
+        self.run_ops(((_MCX, controls, t),))
+
+    def run_ops(self, ops) -> None:
+        lanes, full = self.lanes, self.full
+        X, CX, CCX = _X, _CX, _CCX
+        for k, c, t in ops:
+            try:
+                if k == CCX:
+                    lanes[t] ^= lanes[c[0]] & lanes[c[1]]
+                elif k == CX:
+                    lanes[t] ^= lanes[c[0]]
+                elif k == X:
+                    lanes[t] ^= full
+                else:
+                    acc = full
+                    for q in c:
+                        acc &= lanes[q]
+                    lanes[t] ^= acc
+            except IndexError:
+                # nothing was stored yet: grow, then apply the gate again
+                lanes.extend([0] * (max((t, *c)) + 1 - len(lanes)))
+                self.run_ops(((k, c, t),))
+
+
+class StateSink(LaneSink):
+    """One basis state as a one-lane LaneSink: lanes[q] is qubit q's bit."""
+
+    __slots__ = ()
+    _digits, _bits = bytes.maketrans(b"\0\1", b"01"), bytes.maketrans(b"01", b"\0\1")
+
+    def __init__(self, state: int):
+        super().__init__([], 1)
+        self.state = state
+
+    @property
+    def state(self) -> int:
+        return int(bytes(reversed(self.lanes)).translate(self._digits) or b"0", 2)
+
+    @state.setter
+    def state(self, value: int) -> None:
+        self.lanes = list(bin(value)[:1:-1].encode().translate(self._bits))
 
 
 class TeeSink:
@@ -267,6 +324,11 @@ class TeeSink:
     def mcx(self, controls: tuple[int, ...], t: int) -> None:
         for s in self.sinks:
             s.mcx(controls, t)
+
+    def run_ops(self, ops) -> None:
+        ops = list(ops)  # the children share no state: each takes the block in turn
+        for s in self.sinks:
+            emit_gates(ops, s)
 
 
 def emit_controlled_x(sink, controls: tuple[int, ...], target: int) -> None:
@@ -317,16 +379,20 @@ class LoweringSink:
 
 
 def emit_circuit(circuit: Circuit, sink, lo: int = 0, hi: int | None = None) -> None:
-    """Replay gates [lo, hi) of a materialized circuit into a sink."""
-    emit_gates(circuit.gates if lo == 0 and hi is None else circuit.gates[lo:hi], sink)
+    """Replay gates [lo, hi) of a materialized circuit into a sink, uncopied."""
+    gates = iter(circuit.gates)
+    gates.__setstate__(lo)  # a list iterator starts at lo in O(1)
+    emit_gates(gates if hi is None else islice(gates, hi - lo), sink)
 
 
 def emit_gates(gates: Iterable[tuple], sink) -> None:
     """Feed (kind, controls, target) triples into a sink.
 
-    This is the one GateKind -> sink dispatch: simulators, counters, the
-    MCX lowering and recorded-block replay all receive gates through it.
+    A sink with run_ops takes the whole block in one call. Otherwise this is
+    the one GateKind -> sink method dispatch (Circuit, LoweringSink).
     """
+    if hasattr(sink, "run_ops"):
+        return sink.run_ops(gates)
     x, cx, ccx, mcx = sink.x, sink.cx, sink.ccx, sink.mcx
     X, CX, CCX = _X, _CX, _CCX
     for k, c, t in gates:

@@ -4,8 +4,9 @@ Every Toffoli is booked as 7 T gates. Depth is greedy as-soon-as-possible
 layering: a gate starts one layer after the latest-finishing gate sharing a
 qubit with it, so blocks on disjoint qubits count one layer. The scaling
 table synthesizes worst-case instances per bit size, streaming each
-emission through a counter and a big-integer simulator at once, so the
-row is verified on a random input without the circuit ever materializing.
+emission through a counter and a bit-sliced simulator at once, so the
+row is verified on a random input (a multiplier with its control both set
+and clear) without the circuit ever materializing.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adders import SynthesisError, emit_const_add
-from .circuits import Circuit, CountingSink, StateSink, TeeSink, emit_circuit
+from .circuits import Circuit, CountingSink, LaneSink, StateSink, TeeSink, emit_circuit
 from .modular import ModMulSpec, emit_ctrl_modmul
 from .revsim import random_bits
 
@@ -128,12 +129,14 @@ def _modmul_row(n: int, mode: str, rng: np.random.Generator) -> ScalingRow:
     spec = ModMulSpec.standard(a, modulus, mode=mode)
     counter = CountingSink(spec.width)
     x = random_bits(rng, n) % modulus
-    state = StateSink(x | (1 << spec.ctrl))
+    # two lanes on one x: ctrl = 1 on lane 0 must multiply, ctrl = 0 on lane 1 must not
+    sim = LaneSink([3 * (x >> q & 1) for q in range(spec.width)], 3)
+    sim.lanes[spec.ctrl] = 1
     t0 = time.perf_counter()
-    emit_ctrl_modmul(TeeSink(counter, state), spec)
+    emit_ctrl_modmul(TeeSink(counter, sim), spec)
     dt = time.perf_counter() - t0
-    want = (a * x % modulus) | (1 << spec.ctrl)
-    if state.state != want:
+    on, off = (sum((v >> k & 1) << q for q, v in enumerate(sim.lanes)) for k in (0, 1))
+    if on != (a * x % modulus) | (1 << spec.ctrl) or off != x:
         raise SynthesisError(f"modmul harness n={n}: verification mismatch")
     return ScalingRow(n=n, toffoli=counter.toffoli, depth=counter.depth, seconds=dt)
 

@@ -1,19 +1,18 @@
 """Bit-exact simulation of reversible circuits.
 
-A basis state is one python int, bit i = qubit i, so a gate costs O(1)
-machine-word work per 64 qubits and registers of thousands of qubits stay
-cheap. permutation_table runs many basis states on bit-sliced lanes (Biham
-1997): qubit q is one python int whose bit k is lane k's qubit q, so a gate
-is one big-integer XOR across all lanes. Exhaustive tests run every state;
-the phase estimation driver runs only the inputs it can reach.
-
-Each simulator is a sink fed by circuits.emit_circuit.
+Every simulator here is a circuits.LaneSink, bit-sliced (Biham 1997):
+qubit q is one python int whose bit k is lane k's qubit q, so a gate is
+one small-integer or big-integer XOR across all lanes. run and
+prefix_states use one lane (a StateSink), so a gate costs O(1) work
+however wide the register. permutation_table runs many basis states at
+once: exhaustive tests run every state, and the phase estimation driver
+runs only the inputs it can reach.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .circuits import Circuit, StateSink, emit_circuit, emit_gates
+from .circuits import Circuit, LaneSink, StateSink, emit_circuit, emit_gates
 
 LANE_CAP = 1 << 22  # lanes per table: 32 MiB of int64 images
 
@@ -39,34 +38,6 @@ def prefix_states(circuit: Circuit, state: int) -> list[int]:
         emit_gates((gate,), sink)
         states.append(sink.state)
     return states
-
-
-class LaneSink:
-    """Bit-sliced gates: lanes[q] holds qubit q of every lane, one bit per lane."""
-
-    __slots__ = ("lanes", "full")
-
-    def __init__(self, lanes: list[int], full: int):
-        self.lanes = lanes
-        self.full = full
-
-    def x(self, t: int) -> None:
-        self.lanes[t] ^= self.full
-
-    def cx(self, c: int, t: int) -> None:
-        lanes = self.lanes
-        lanes[t] ^= lanes[c]
-
-    def ccx(self, c1: int, c2: int, t: int) -> None:
-        lanes = self.lanes
-        lanes[t] ^= lanes[c1] & lanes[c2]
-
-    def mcx(self, controls: tuple[int, ...], t: int) -> None:
-        lanes = self.lanes
-        acc = lanes[controls[0]]
-        for c in controls[1:]:
-            acc &= lanes[c]
-        lanes[t] ^= acc
 
 
 def permutation_table(circuit: Circuit, inputs: np.ndarray | None = None) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Gate IR: validation, reversal, MCX lowering, replay, text format."""
+"""Gate IR: validation, reversal, MCX lowering, replay, whole-block sinks, text format."""
 
 import numpy as np
 import pytest
@@ -12,13 +12,18 @@ from dirtyshor.circuits import (
     CountingSink,
     Gate,
     GateKind,
+    LaneSink,
     LoweringSink,
     RecordingSink,
+    StateSink,
+    TeeSink,
     circuit_from_text,
     circuit_to_text,
     emit_circuit,
+    emit_controlled_x,
     emit_mcx,
 )
+from dirtyshor.modular import ModMulSpec, emit_ctrl_modmul
 from dirtyshor.revsim import permutation_table, run
 
 
@@ -195,6 +200,165 @@ def test_counting_sink_rejects_mcx():
     sink = CountingSink(5)
     with pytest.raises(CircuitError):
         sink.mcx((0, 1, 2), 3)
+    with pytest.raises(CircuitError):
+        sink.run_ops([(GateKind.X, (), 0), (GateKind.MCX, (0, 1, 2), 3)])
+    # the gates before the MCX are booked, as gate-by-gate calls would book them
+    assert (sink.not_, sink.depth) == (1, 1)
+
+
+# --------------------------------------------------------------------------
+# whole-block replay: run_ops against gate-by-gate dispatch
+
+
+@st.composite
+def _blocks(draw, mcx: bool = True):
+    """(width, triples) with X, CX, CCX and, unless mcx is False, 3-4 control MCX."""
+    width = draw(st.integers(5, 9))
+    ops = []
+    for _ in range(draw(st.integers(0, 40))):
+        qubits = draw(st.permutations(range(width)))
+        k = draw(st.integers(0, 4 if mcx else 2))
+        ops.append((GateKind(min(k, 3)), tuple(qubits[:k]), qubits[k]))
+    return width, ops
+
+
+def _gate_by_gate(ops, sink):
+    for _, controls, target in ops:
+        emit_controlled_x(sink, controls, target)
+
+
+def _reference_state(ops, state: int) -> int:
+    for _, controls, target in ops:
+        if all(state >> c & 1 for c in controls):
+            state ^= 1 << target
+    return state
+
+
+def _counts(sink: CountingSink):
+    return sink.toffoli, sink.cnot, sink.not_, sink.depth, sink.width_touched
+
+
+@settings(max_examples=80, deadline=None)
+@given(_blocks(mcx=False), st.integers(0, 40))
+def test_counting_run_ops_matches_gate_by_gate(block, cut):
+    width, ops = block
+    whole, single = CountingSink(width), CountingSink(width)
+    whole.run_ops(ops[:cut])
+    whole.run_ops(iter(ops[cut:]))  # a block may be any iterable, continuing the tally
+    _gate_by_gate(ops, single)
+    assert _counts(whole) == _counts(single)
+    # independent ASAP layering: one layer past the latest of the gate's qubits
+    front, depth = [0] * width, 0
+    for _, controls, target in ops:
+        layer = 1 + max(front[q] for q in (*controls, target))
+        for q in (*controls, target):
+            front[q] = layer
+        depth = max(depth, layer)
+    kinds = [k for k, _, _ in ops]
+    assert _counts(whole) == (kinds.count(GateKind.CCX), kinds.count(GateKind.CX),
+                              kinds.count(GateKind.X), depth, sum(1 for f in front if f))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_blocks(), st.data())
+def test_state_run_ops_matches_gate_by_gate(block, data):
+    width, ops = block
+    state = data.draw(st.integers(0, (1 << width) - 1))
+    whole, single = StateSink(state), StateSink(state)
+    whole.run_ops(ops)
+    _gate_by_gate(ops, single)
+    assert whole.state == single.state == _reference_state(ops, state)
+    # StateSink(0) on qubits far past its one-bit list: they read as 0 and grow on use
+    high = [(k, tuple(c + 200 for c in cs), t + 200) for k, cs, t in ops]
+    for sink in (StateSink(0), StateSink(1)):
+        start = sink.state
+        sink.run_ops(high)
+        assert sink.state == _reference_state(high, start)
+    grown = StateSink(0)
+    _gate_by_gate(high, grown)
+    assert grown.state == _reference_state(high, 0)
+
+
+@given(st.integers(0, 1 << 600), st.integers(0, 1 << 70))
+def test_state_setter_round_trip(big, small):
+    sink = StateSink(big)
+    assert sink.state == big
+    sink.state = small  # shrinking drops the old high bits
+    assert sink.state == small
+    sink.state ^= big
+    assert sink.state == small ^ big
+    sink.x(700)
+    assert sink.state == (small ^ big) | 1 << 700
+
+
+@settings(max_examples=60, deadline=None)
+@given(_blocks(), st.data())
+def test_lane_run_ops_matches_gate_by_gate(block, data):
+    width, ops = block
+    states = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=8))
+    lanes = [sum((s >> q & 1) << k for k, s in enumerate(states)) for q in range(width)]
+    full = (1 << len(states)) - 1
+    whole, single = LaneSink(list(lanes), full), LaneSink(list(lanes), full)
+    whole.run_ops(ops)
+    _gate_by_gate(ops, single)
+    assert whole.lanes == single.lanes
+    for k, s in enumerate(states):
+        got = sum((v >> k & 1) << q for q, v in enumerate(whole.lanes))
+        assert got == _reference_state(ops, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_blocks(mcx=False), st.data())
+def test_tee_and_recorder_run_ops_match_gate_by_gate(block, data):
+    width, ops = block
+    state = data.draw(st.integers(0, (1 << width) - 1))
+
+    def tee():
+        return TeeSink(CountingSink(width), StateSink(state), RecordingSink(),
+                       LoweringSink(Circuit(width), ()))
+
+    whole, single = tee(), tee()
+    whole.run_ops(iter(ops))  # the tee lists a one-shot block once for all children
+    _gate_by_gate(ops, single)
+    (wc, ws, wr, wl), (sc, ss, sr, sl) = whole.sinks, single.sinks
+    assert _counts(wc) == _counts(sc)
+    assert ws.state == ss.state == _reference_state(ops, state)
+    assert wr.ops == sr.ops == ops
+    assert wl.sink.gates == sl.sink.gates == ops
+
+
+def test_multiplier_reaches_counter_mostly_in_blocks():
+    """Replayed blocks reach a counting sink through run_ops, not one call per gate."""
+
+    class Probe(CountingSink):
+        __slots__ = ("booked", "single")
+
+        def __init__(self, width):
+            super().__init__(width)
+            self.booked = self.single = 0
+
+        def run_ops(self, ops):
+            ops = list(ops)
+            self.booked += len(ops)
+            super().run_ops(ops)
+
+        def x(self, t):
+            self.single += 1
+            super().x(t)
+
+        def cx(self, c, t):
+            self.single += 1
+            super().cx(c, t)
+
+        def ccx(self, c1, c2, t):
+            self.single += 1
+            super().ccx(c1, c2, t)
+
+    spec = ModMulSpec.standard(2, 21)
+    probe = Probe(spec.width)
+    emit_ctrl_modmul(probe, spec)
+    assert probe.booked == probe.total
+    assert 3 * probe.single < probe.total, (probe.single, probe.total)
 
 
 # --------------------------------------------------------------------------

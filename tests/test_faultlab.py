@@ -378,7 +378,7 @@ def test_budget_and_cancelling_cases_match_prefix_list_localization(targets, fau
 
 def test_localize_memory_stays_logarithmic():
     # G+1 prefix states per vector peak near 1.4 MiB here; O(log G)
-    # checkpoints leave the executor's 167 KiB slice of the gate list on top
+    # checkpoints of 130-qubit states take about 11 KiB
     circ = const_adder(AdderSpec.standard(128, (1 << 128) - 1))
     assert len(circ.gates) == 21382
     ex = inject(circ, [FaultSpec("bitflip", 7127, 0)])
@@ -391,6 +391,23 @@ def test_localize_memory_stays_logarithmic():
         tracemalloc.stop()
     assert ranges == [(7127, 7128)]
     assert peak < 512 * 1024, f"peak {peak} bytes"
+
+
+def test_segment_run_does_not_copy_the_gate_list():
+    # a copy of the 111,110 gate pointers alone would take 0.85 MiB
+    circ = const_adder(AdderSpec.standard(512, (1 << 512) - 1))
+    assert len(circ.gates) == 111110
+    ex = SegmentExecutor(circ, ())
+    v = random_vectors(circ.width, 1, seed=3)[0]
+    want = ex.run(0, ex.n_gates, v)
+    tracemalloc.start()
+    try:
+        got = ex.run(0, ex.n_gates, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want == ex.run(ex.n_gates // 3, ex.n_gates, ex.run(0, ex.n_gates // 3, v))
+    assert peak < 64 * 1024, f"peak {peak} bytes"
 
 
 def test_golden_reference_matches_prefix_states():

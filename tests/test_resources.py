@@ -5,7 +5,7 @@ import math
 import pytest
 
 from dirtyshor import resources
-from dirtyshor.adders import t_add_recursion
+from dirtyshor.adders import SynthesisError, t_add_recursion
 from dirtyshor.circuits import Circuit, CircuitError, CountingSink
 from dirtyshor.modular import ModMulSpec, emit_ctrl_modmul
 from dirtyshor.resources import (
@@ -88,6 +88,22 @@ def test_modmul_rows_match_direct_count():
     emit_ctrl_modmul(counter, spec)
     assert rows[0].toffoli == counter.toffoli
     assert rows[0].depth == counter.depth
+
+
+@pytest.mark.parametrize("ctrl_value", (0, 1))
+def test_modmul_row_checks_both_control_values(monkeypatch, ctrl_value):
+    # a mutant multiplier that flips x's low bit exactly when ctrl == ctrl_value
+    def mutant(sink, spec):
+        emit_ctrl_modmul(sink, spec)
+        if ctrl_value == 0:
+            sink.x(spec.ctrl)
+        sink.cx(spec.ctrl, spec.x[0])
+        if ctrl_value == 0:
+            sink.x(spec.ctrl)
+
+    monkeypatch.setattr(resources, "emit_ctrl_modmul", mutant)
+    with pytest.raises(SynthesisError, match="verification mismatch"):
+        scaling_table([8], harness="modmul")
 
 
 def test_scaling_table_memory_error_propagates(monkeypatch):
