@@ -461,24 +461,35 @@ def circuit_to_text(circuit: Circuit) -> str:
 
 
 def circuit_from_text(text: str) -> Circuit:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("width "):
+    """Parse circuit_to_text's format; errors name the raw line, counting
+    blanks and comments. Each distinct gate line is parsed and validated
+    once, and its repeats share that immutable Gate."""
+    lines = ((n, ln) for n, ln in enumerate(map(str.strip, text.splitlines()), start=1)
+             if ln and not ln.startswith("#"))
+    _, head = next(lines, (0, ""))
+    if not head.startswith("width "):
         raise CircuitError("first line must be `width <w>`")
     try:
-        width = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
+        _, width = head.split()
+        width = int(width)
+    except ValueError as exc:
         raise CircuitError("malformed width line") from exc
     circ = Circuit(width)
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        kind = _NAME_KINDS.get(parts[0])
-        if kind is None:
-            raise CircuitError(f"line {lineno}: unknown gate {parts[0]!r}")
-        try:
-            qubits = [int(p) for p in parts[1:]]
-        except ValueError as exc:
-            raise CircuitError(f"line {lineno}: non-integer qubit") from exc
-        if not qubits:
-            raise CircuitError(f"line {lineno}: missing target")
-        circ.append(Gate(kind, tuple(qubits[:-1]), qubits[-1]))
+    parsed: dict[str, Gate] = {}
+    for lineno, ln in lines:
+        gate = parsed.get(ln)
+        if gate is None:
+            parts = ln.split()
+            kind = _NAME_KINDS.get(parts[0])
+            if kind is None:
+                raise CircuitError(f"line {lineno}: unknown gate {parts[0]!r}")
+            try:
+                qubits = [int(p) for p in parts[1:]]
+            except ValueError as exc:
+                raise CircuitError(f"line {lineno}: non-integer qubit") from exc
+            if not qubits:
+                raise CircuitError(f"line {lineno}: missing target")
+            gate = parsed[ln] = Gate(kind, tuple(qubits[:-1]), qubits[-1])
+            _check_gate(kind, gate.controls, gate.target, width)
+        circ.gates.append(gate)
     return circ

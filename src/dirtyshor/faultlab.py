@@ -10,7 +10,9 @@ exactly one half per level, so the faulty gate index is pinned in
 ceil(log2 G) rounds; multiple faults may flag both halves and come back
 as a list of ranges. The golden states are checkpoints carried down the
 bisection (each range's lo and hi, mid recomputed from lo), so a vector
-never holds more than O(log G) states.
+never holds more than O(log G) states. Golden (fault-free) passes run all
+vectors as one revsim.run_lanes lane pass per range; the faulty executor
+still takes one counted call per vector.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from .circuits import Circuit, CircuitError, StateSink, emit_circuit
 # prefix_states has no caller here; perfbench/tracing.py wraps faultlab.prefix_states by name
-from .revsim import prefix_states, random_bits, run
+from .revsim import prefix_states, random_bits, run_lanes
 
 _FAULT_KINDS = ("missing", "bitflip")
 
@@ -129,8 +131,9 @@ def call_bound(n_gates: int, n_vectors: int) -> int:
 def fault_detect(executor: SegmentExecutor, circuit: Circuit, vectors) -> int:
     """How many vectors' full-range outputs differ from fault-free sim;
     0 means the fault set is not detected. One executor call per vector."""
-    return sum(executor.run(0, executor.n_gates, v) != run(circuit, v)
-               for v in [int(v) for v in vectors])
+    values = [int(v) for v in vectors]
+    return sum(executor.run(0, executor.n_gates, v) != o
+               for v, o in zip(values, run_lanes(circuit, values)))
 
 
 def fault_localize(executor: SegmentExecutor, circuit: Circuit, vectors) -> list[tuple[int, int]]:
@@ -141,8 +144,8 @@ def fault_localize(executor: SegmentExecutor, circuit: Circuit, vectors) -> list
     Each bisection level feeds both halves their golden (fault-free) input
     states, so a deviation in a half certifies a triggered fault inside it.
     A range carries its golden states at lo and hi for every vector; the
-    state at mid is recomputed from lo by a fault-free executor, so a
-    vector holds at most two states per level of the descent.
+    states at mid are recomputed from lo in one lane pass over all vectors,
+    so a vector holds at most two states per level of the descent.
     Raises InconclusiveError when no vector shows any full-range deviation.
     """
     values = [int(v) for v in vectors]
@@ -151,13 +154,12 @@ def fault_localize(executor: SegmentExecutor, circuit: Circuit, vectors) -> list
     n_gates = executor.n_gates
     if n_gates == 0:
         raise InconclusiveError("empty circuit")
-    golden = SegmentExecutor(circuit, ())
     budget = call_bound(n_gates, len(values)) + executor.calls
 
     def deviates(lo: int, hi: int, ins: list[int], outs: list[int]) -> bool:
         return any(executor.run(lo, hi, s) != o for s, o in zip(ins, outs))
 
-    outs = [golden.run(0, n_gates, v) for v in values]
+    outs = run_lanes(circuit, values)
     if not deviates(0, n_gates, values, outs):
         raise InconclusiveError("vectors never trigger the fault end to end")
 
@@ -168,7 +170,7 @@ def fault_localize(executor: SegmentExecutor, circuit: Circuit, vectors) -> list
             ranges.append((lo, hi))
             return
         mid = (lo + hi) // 2
-        mids = [golden.run(lo, mid, s) for s in ins]
+        mids = run_lanes(circuit, ins, lo, mid)
         # test both halves before entering either; some vector deviates on
         # this range from its golden input, so at least one half deviates
         left = deviates(lo, mid, ins, mids)

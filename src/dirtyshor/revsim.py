@@ -2,11 +2,11 @@
 
 Every simulator here is a circuits.LaneSink, bit-sliced (Biham 1997):
 qubit q is one python int whose bit k is lane k's qubit q, so a gate is
-one small-integer or big-integer XOR across all lanes. run and
-prefix_states use one lane (a StateSink), so a gate costs O(1) work
-however wide the register. permutation_table runs many basis states at
-once: exhaustive tests run every state, and the phase estimation driver
-runs only the inputs it can reach.
+one small-integer or big-integer XOR across all lanes. run_lanes runs a
+gate range on a list of int states in one pass, and run is its one-state
+call; prefix_states uses one lane (a StateSink). permutation_table runs
+many basis states at once: exhaustive tests run every state, and the
+phase estimation driver runs only the inputs it can reach.
 """
 from __future__ import annotations
 
@@ -23,11 +23,22 @@ class SimulationError(ValueError):
 
 def run(circuit: Circuit, state: int) -> int:
     """Apply every gate to a basis state."""
-    if state >> circuit.width:
+    return run_lanes(circuit, [state])[0]
+
+
+def run_lanes(circuit: Circuit, states: list[int], lo: int = 0, hi: int | None = None) -> list[int]:
+    """Apply gates [lo, hi) to every basis state at once, one LaneSink lane
+    per state: the cost of one pass, whatever the number of states."""
+    if any(s >> circuit.width for s in states):
         raise SimulationError("state has bits beyond the circuit width")
-    sink = StateSink(state)
-    emit_circuit(circuit, sink)
-    return sink.state
+    if not states:
+        return []
+    # rows run from the last state to the first, qubit 0 first: column q is lane q
+    rows = [format(s, f"0{circuit.width}b")[::-1] for s in reversed(states)]
+    lanes = [int("".join(col), 2) for col in zip(*rows)]
+    emit_circuit(circuit, LaneSink(lanes, (1 << len(states)) - 1), lo, hi)
+    cols = [format(lane, f"0{len(states)}b") for lane in reversed(lanes)]
+    return [int("".join(bits), 2) for bits in zip(*cols)][::-1]
 
 
 def prefix_states(circuit: Circuit, state: int) -> list[int]:

@@ -396,11 +396,31 @@ def test_text_skips_comments_and_blanks():
         "width 2\ncx 0 0\n",
         "width 3\nmcx 0 1 2\n",  # a Toffoli is spelled ccx
         "width 2\nmcx 0 1\n",
+        "width 3 junk\nx 0\n",
     ],
 )
 def test_text_rejects_malformed(text):
     with pytest.raises(CircuitError):
         circuit_from_text(text)
+
+
+def test_text_errors_name_the_raw_line():
+    with pytest.raises(CircuitError, match=r"^line 7: unknown gate 'foo'$"):
+        circuit_from_text("# hdr\n\nwidth 3\n\n# c\ncx 0 1\nfoo 1\n")
+    with pytest.raises(CircuitError, match=r"^malformed width line$"):
+        circuit_from_text("width 3 junk\nx 0\n")
+
+
+def test_text_repeated_lines_share_one_validated_gate():
+    repeated = "width 4\n" + "ccx 0 1 2\n# c\n\ncx 2 3\n" * 500
+    circ = circuit_from_text(repeated)
+    assert len(circ) == 1000
+    assert circ.gates[0] is circ.gates[998] and circ.gates[1] is circ.gates[999]
+    with pytest.raises(CircuitError, match=r"^line 2002: non-integer qubit$"):
+        circuit_from_text(repeated + "cx 2 three\n")
+    # a new line is validated against the width even after many repeats
+    with pytest.raises(CircuitError, match="out of range for width 4"):
+        circuit_from_text(repeated + "ccx 0 1 4\n")
 
 
 @st.composite

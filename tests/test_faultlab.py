@@ -21,7 +21,7 @@ from dirtyshor.faultlab import (
     parse_faults,
     random_vectors,
 )
-from dirtyshor.revsim import prefix_states
+from dirtyshor.revsim import SimulationError, prefix_states
 
 
 def _x_chain(width: int, targets) -> Circuit:
@@ -172,6 +172,19 @@ def test_detect_counts_one_call_per_vector():
     clean = inject(circ, [])
     assert fault_detect(clean, circ, [0, 5, 7]) == 0
     assert clean.calls == 3
+    # the golden side is one lane pass; the executor still books V calls
+    adder = const_adder(AdderSpec.standard(16, 40000))
+    ex = inject(adder, [FaultSpec("bitflip", 30, 1)])
+    assert fault_detect(ex, adder, random_vectors(adder.width, 7, seed=4)) == 7
+    assert ex.calls == 7
+
+
+def test_detect_and_localize_reject_states_beyond_the_width():
+    # lanes hold only `width` qubits, so a high bit would read as a deviation
+    circ = _x_chain(3, [0, 1, 2])
+    for check in (fault_detect, fault_localize):
+        with pytest.raises(SimulationError):
+            check(inject(circ, [FaultSpec("missing", 1)]), circ, [1, 1 << 3])
 
 
 def test_detect_counts_only_the_triggering_vectors():

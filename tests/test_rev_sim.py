@@ -14,7 +14,9 @@ from dirtyshor.revsim import (
     SimulationError,
     permutation_table,
     prefix_states,
+    random_bits,
     run,
+    run_lanes,
 )
 
 
@@ -46,6 +48,24 @@ def test_run_rejects_oversized_state():
     circ.x(0)
     with pytest.raises(SimulationError):
         run(circ, 7)
+    with pytest.raises(SimulationError):
+        run_lanes(circ, [0, 3, 4])
+    with pytest.raises(SimulationError):
+        run_lanes(circ, [-1])
+    assert run_lanes(circ, []) == []
+
+
+def test_run_lanes_matches_run_on_gate_ranges():
+    # 514-qubit states: every lane is wider than a machine word
+    circ = const_adder(AdderSpec.standard(512, (1 << 512) - 1))
+    rng = np.random.default_rng(5)
+    states = [random_bits(rng, circ.width) for _ in range(5)] + [0, (1 << circ.width) - 1]
+    for _ in range(4):
+        lo, hi = sorted(int(i) for i in rng.integers(0, len(circ.gates) + 1, size=2))
+        segment = Circuit(circ.width, circ.gates[lo:hi])
+        assert run_lanes(circ, states, lo, hi) == [run(segment, s) for s in states]
+    assert run_lanes(circ, states) == [run(circ, s) for s in states]
+    assert run_lanes(circ, states[:1], 7, 7) == states[:1]
 
 
 def test_mcx_semantics():
@@ -116,6 +136,7 @@ def test_simulators_agree_with_reference(circ, data):
     lanes = permutation_table(circ, inputs)
     assert (lanes == table[inputs]).all()
     assert lanes.tolist() == [reference_states(circ.gates, int(s))[-1] for s in inputs]
+    assert run_lanes(circ, [state, *map(int, inputs)]) == [want[-1], *lanes.tolist()]
     ex = SegmentExecutor(circ, [])
     lo = data.draw(st.integers(0, len(circ.gates)))
     hi = data.draw(st.integers(lo, len(circ.gates)))
