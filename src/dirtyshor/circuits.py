@@ -4,9 +4,9 @@ Circuits are flat gate lists over qubits indexed 0..width-1, little endian
 (qubit i of a register carries weight 2**i). Every gate is the triple
 (kind, controls, target) of a NOT with zero or more controls: X, CX, CCX
 or MCX, so every circuit is a classical reversible permutation of basis
-states; a basis state is one python int with bit i = qubit i, simulated
-as a one-lane LaneSink. The phase estimation driver's Hadamard, phase and
-measurement steps act on its statevector directly and are never stored
+states, each one python int with bit i = qubit i; the bit-sliced LaneSink
+runs many at once, and pack_lanes/unpack_lanes beside it own its layout.
+Phase estimation's Hadamard, phase and measurement steps are never stored
 as gates. Synthesis routines emit into any "sink" exposing x/cx/ccx/mcx.
 Stored circuits and recorded blocks hold the same triples and replay
 through emit_gates, which hands a whole block to a sink's run_ops (the
@@ -17,6 +17,8 @@ from __future__ import annotations
 from enum import IntEnum
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 
 class GateKind(IntEnum):
@@ -283,22 +285,58 @@ class LaneSink:
 
 
 class StateSink(LaneSink):
-    """One basis state as a one-lane LaneSink: lanes[q] is qubit q's bit."""
+    """One basis state as a one-lane LaneSink."""
 
     __slots__ = ()
-    _digits, _bits = bytes.maketrans(b"\0\1", b"01"), bytes.maketrans(b"01", b"\0\1")
 
     def __init__(self, state: int):
-        super().__init__([], 1)
-        self.state = state
+        super().__init__(pack_lanes([state]), 1)
 
     @property
     def state(self) -> int:
-        return int(bytes(reversed(self.lanes)).translate(self._digits) or b"0", 2)
+        return unpack_lanes(self.lanes, [0])[0]
 
-    @state.setter
-    def state(self, value: int) -> None:
-        self.lanes = list(bin(value)[:1:-1].encode().translate(self._bits))
+
+_TILE = 1 << 11  # states, and bits of each, that NumPy unpacks at once: 4 MiB
+_DIGITS, _BITS = bytes.maketrans(b"\0\1", b"01"), bytes.maketrans(b"01", b"\0\1")
+
+
+def _transpose(values, nbytes: int) -> np.ndarray:
+    """64-bit words whose row j holds bit j of each of values (python ints or
+    an int64 array of nbytes little-endian bytes each), values[i] at bit i."""
+    if nbytes > 8:
+        rows = np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in values),
+                             np.uint8).reshape(len(values), nbytes)
+    else:
+        rows = np.asarray(values, "<u8").view(np.uint8).reshape(-1, 8)[:, :nbytes]
+    out = np.zeros((8 * nbytes, 8 * max(1, -(-len(values) // 64))), np.uint8)
+    for i in range(0, len(values), _TILE):
+        for j in range(0, nbytes, _TILE // 8):
+            bits = np.unpackbits(rows[i:i + _TILE, j:j + _TILE // 8], axis=1, bitorder="little")
+            block = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
+            out[8 * j:8 * j + len(block), i // 8:i // 8 + block.shape[1]] = block
+    return out.view("<u8")
+
+
+def pack_lanes(states) -> list[int]:
+    """LaneSink lanes of basis states, python ints of any width or an int64
+    array: bit k of lanes[q] is qubit q of states[k]. Qubits above the top
+    byte that any state uses get no lane, so they read 0."""
+    if type(states) is list and len(states) == 1:
+        return list(bin(states[0])[:1:-1].encode().translate(_BITS))
+    top = int(states.max(initial=0)) if isinstance(states, np.ndarray) else max(states, default=0)
+    return [int.from_bytes(row, "little") for row in _transpose(states, -(-top.bit_length() // 8))]
+
+
+def unpack_lanes(lanes: list[int], like):
+    """The states held in lanes, as many as like has and of its type: the
+    inverse of pack_lanes(like), whatever gates have done to the lanes since."""
+    if type(like) is list and len(like) == 1:
+        return [int(bytes(reversed(lanes)).translate(_DIGITS) or b"0", 2)]
+    words = _transpose(lanes, -(-len(like) // 8))[:len(like)]
+    if isinstance(like, np.ndarray):
+        return words.view(np.int64).reshape(len(like))
+    return [int.from_bytes(row, "little") for row in words]
 
 
 class TeeSink:

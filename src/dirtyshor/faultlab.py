@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, CircuitError, StateSink, emit_circuit
+from .circuits import Circuit, CircuitError, Gate, GateKind, StateSink, emit_circuit, emit_gates
 # prefix_states has no caller here; perfbench/tracing.py wraps faultlab.prefix_states by name
 from .revsim import prefix_states, random_bits, run_lanes
 
@@ -90,10 +90,10 @@ class SegmentExecutor:
         self.faults = faults
         self.calls = 0
         self._missing = frozenset(f.index for f in faults if f.kind == "missing")
-        flips: dict[int, int] = {}
+        flips: dict[int, list[Gate]] = {}  # a bitflip is an X after its gate
         for f in faults:
             if f.kind == "bitflip":
-                flips[f.index] = flips.get(f.index, 0) ^ (1 << f.qubit)
+                flips.setdefault(f.index, []).append(Gate(GateKind.X, (), f.qubit))
         self._flips = flips
         self._marks = sorted(self._missing | flips.keys())
         self._circuit = circuit
@@ -113,7 +113,7 @@ class SegmentExecutor:
             if lo <= idx < hi:
                 end = idx if idx in self._missing else idx + 1
                 emit_circuit(self._circuit, sink, start, end)
-                sink.state ^= self._flips.get(idx, 0)
+                emit_gates(self._flips.get(idx, ()), sink)
                 start = idx + 1
         emit_circuit(self._circuit, sink, start, hi)
         return sink.state

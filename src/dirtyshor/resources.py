@@ -4,9 +4,9 @@ Every Toffoli is booked as 7 T gates. Depth is greedy as-soon-as-possible
 layering: a gate starts one layer after the latest-finishing gate sharing a
 qubit with it, so blocks on disjoint qubits count one layer. The scaling
 table synthesizes worst-case instances per bit size, streaming each
-emission through a counter and a bit-sliced simulator at once, so the
-row is verified on a random input (a multiplier with its control both set
-and clear) without the circuit ever materializing.
+emission through a counter and a LaneSink at once, so the row is checked
+on CHECK_LANES random inputs (dirty-pool bits too; multiplier lanes half
+with the control set, half clear) without the circuit ever materializing.
 """
 from __future__ import annotations
 
@@ -17,11 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adders import SynthesisError, emit_const_add
-from .circuits import Circuit, CountingSink, LaneSink, StateSink, TeeSink, emit_circuit
+from .circuits import (Circuit, CountingSink, LaneSink, TeeSink, emit_circuit, pack_lanes,
+                       unpack_lanes)
 from .modular import ModMulSpec, emit_ctrl_modmul
 from .revsim import random_bits
 
 T_PER_TOFFOLI = 7
+CHECK_LANES = 64  # random inputs each scaling row is checked on
 
 
 @dataclass(frozen=True)
@@ -105,40 +107,36 @@ def worst_case_multiplier(n: int) -> int:
     return a
 
 
+def _checked_row(harness: str, n: int, width: int, emit, states, want) -> ScalingRow:
+    """Time emit(sink) into a counter and a LaneSink of states, which must end as want."""
+    counter, sim = CountingSink(width), LaneSink(pack_lanes(states), (1 << len(states)) - 1)
+    t0 = time.perf_counter()
+    emit(TeeSink(counter, sim))
+    dt = time.perf_counter() - t0
+    if unpack_lanes(sim.lanes, states) != want:
+        raise SynthesisError(f"{harness} harness n={n}: verification mismatch")
+    return ScalingRow(n=n, toffoli=counter.toffoli, depth=counter.depth, seconds=dt)
+
+
 def _adder_row(n: int, mode: str, rng: np.random.Generator) -> ScalingRow:
     c = worst_case_constant(n)
-    pool_size = 2 if mode == "serial" else max(2, n // 2)
-    bits = tuple(range(n))
-    pool = tuple(range(n, n + pool_size))
-    counter = CountingSink(n + pool_size)
-    x = random_bits(rng, n)
-    pool_bits = random_bits(rng, pool_size)
-    state = StateSink(x | (pool_bits << n))
-    t0 = time.perf_counter()
-    emit_const_add(TeeSink(counter, state), c, bits, pool, (), mode)
-    dt = time.perf_counter() - t0
-    want = ((x + c) & ((1 << n) - 1)) | (pool_bits << n)
-    if state.state != want:
-        raise SynthesisError(f"adder harness n={n}: verification mismatch")
-    return ScalingRow(n=n, toffoli=counter.toffoli, depth=counter.depth, seconds=dt)
+    pool = tuple(range(n, n + (2 if mode == "serial" else max(2, n // 2))))
+    states = [random_bits(rng, n + len(pool)) for _ in range(CHECK_LANES)]  # x, then pool bits
+    want = [s >> n << n | (s + c) % (1 << n) for s in states]
+    return _checked_row("adder", n, n + len(pool), lambda sink: emit_const_add(
+        sink, c, tuple(range(n)), pool, (), mode), states, want)
 
 
 def _modmul_row(n: int, mode: str, rng: np.random.Generator) -> ScalingRow:
     modulus = worst_case_modulus(n)
     a = worst_case_multiplier(n)
     spec = ModMulSpec.standard(a, modulus, mode=mode)
-    counter = CountingSink(spec.width)
-    x = random_bits(rng, n) % modulus
-    # two lanes on one x: ctrl = 1 on lane 0 must multiply, ctrl = 0 on lane 1 must not
-    sim = LaneSink([3 * (x >> q & 1) for q in range(spec.width)], 3)
-    sim.lanes[spec.ctrl] = 1
-    t0 = time.perf_counter()
-    emit_ctrl_modmul(TeeSink(counter, sim), spec)
-    dt = time.perf_counter() - t0
-    on, off = (sum((v >> k & 1) << q for q, v in enumerate(sim.lanes)) for k in (0, 1))
-    if on != (a * x % modulus) | (1 << spec.ctrl) or off != x:
-        raise SynthesisError(f"modmul harness n={n}: verification mismatch")
-    return ScalingRow(n=n, toffoli=counter.toffoli, depth=counter.depth, seconds=dt)
+    # odd lanes have ctrl = 1 and must multiply x; even lanes have ctrl = 0 and must not move
+    xs = [random_bits(rng, n) % modulus for _ in range(CHECK_LANES)]
+    states = [x | (k & 1) << spec.ctrl for k, x in enumerate(xs)]
+    want = [(a * x % modulus if k & 1 else x) | (k & 1) << spec.ctrl for k, x in enumerate(xs)]
+    return _checked_row("modmul", n, spec.width, lambda sink: emit_ctrl_modmul(sink, spec),
+                        states, want)
 
 
 _HARNESSES = {"adder": _adder_row, "modmul": _modmul_row}

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirtyshor.adders import AdderSpec, const_adder
@@ -22,7 +22,10 @@ from dirtyshor.circuits import (
     emit_circuit,
     emit_controlled_x,
     emit_mcx,
+    pack_lanes,
+    unpack_lanes,
 )
+from dirtyshor.circuits import _TILE
 from dirtyshor.modular import ModMulSpec, emit_ctrl_modmul
 from dirtyshor.revsim import permutation_table, run
 
@@ -283,12 +286,63 @@ def test_state_run_ops_matches_gate_by_gate(block, data):
 def test_state_setter_round_trip(big, small):
     sink = StateSink(big)
     assert sink.state == big
-    sink.state = small  # shrinking drops the old high bits
-    assert sink.state == small
-    sink.state ^= big
-    assert sink.state == small ^ big
+    assert StateSink(small).state == small
     sink.x(700)
-    assert sink.state == (small ^ big) | 1 << 700
+    assert sink.state == big | 1 << 700
+
+
+def _hand_packed(states, width):
+    """The lane layout written out: bit k of lanes[q] is qubit q of states[k]."""
+    return [sum((s >> q & 1) << k for k, s in enumerate(states)) for q in range(width)]
+
+
+def _trimmed(lanes):
+    """Lanes without the all-zero top qubits, which read 0 whether stored or not."""
+    lanes = list(lanes)
+    while lanes and not lanes[-1]:
+        lanes.pop()
+    return lanes
+
+
+@st.composite
+def _state_lists(draw):
+    width = draw(st.integers(0, 600))
+    state = st.one_of(st.integers(0, (1 << width) - 1), st.just(0), st.just((1 << width) - 1))
+    return width, draw(st.lists(state, max_size=70))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_state_lists())
+@example((0, []))
+@example((0, [0]))
+@example((9, [0] * 70))
+@example((600, [(1 << 600) - 1] * 70))
+@example((600, [(1 << 600) - 1]))
+@example((5000, [(1 << 5000) - 1, 1 << 4999, 12345]))  # more bits than one tile
+def test_pack_lanes_matches_hand_packed_reference(case):
+    width, states = case
+    lanes = pack_lanes(states)
+    assert _trimmed(lanes) == _trimmed(_hand_packed(states, width))
+    assert len(lanes) <= max(states, default=0).bit_length() + 7
+    assert unpack_lanes(lanes, states) == states
+    # lanes a gate grew to the full width unpack the same
+    assert unpack_lanes(_hand_packed(states, width), states) == states
+
+
+@pytest.mark.parametrize("count", [0, 1, 70, _TILE - 3, _TILE + 3, 3 * _TILE])
+def test_pack_lanes_on_int64_arrays_across_tiles(count):
+    rng = np.random.default_rng(count)
+    for bits in (0, 7, 40, 63):
+        states = rng.integers(0, 1 << bits, count, dtype=np.int64)
+        # reference: one np.packbits pass per qubit
+        ref = [int.from_bytes(np.packbits((states >> q) & 1, bitorder="little").tobytes(), "little")
+               for q in range(64)]
+        lanes = pack_lanes(states)
+        assert _trimmed(lanes) == _trimmed(ref)
+        assert len(lanes) <= 8 * -(-bits // 8)  # only the bytes the states use
+        for packed in (lanes, ref):
+            out = unpack_lanes(packed, states)
+            assert out.dtype == np.int64 and out.tolist() == states.tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -296,7 +350,7 @@ def test_state_setter_round_trip(big, small):
 def test_lane_run_ops_matches_gate_by_gate(block, data):
     width, ops = block
     states = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=8))
-    lanes = [sum((s >> q & 1) << k for k, s in enumerate(states)) for q in range(width)]
+    lanes = _hand_packed(states, width)
     full = (1 << len(states)) - 1
     whole, single = LaneSink(list(lanes), full), LaneSink(list(lanes), full)
     whole.run_ops(ops)

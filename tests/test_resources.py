@@ -5,8 +5,8 @@ import math
 import pytest
 
 from dirtyshor import resources
-from dirtyshor.adders import SynthesisError, t_add_recursion
-from dirtyshor.circuits import Circuit, CircuitError, CountingSink
+from dirtyshor.adders import SynthesisError, emit_const_add, t_add_recursion
+from dirtyshor.circuits import Circuit, CircuitError, CountingSink, LoweringSink
 from dirtyshor.modular import ModMulSpec, emit_ctrl_modmul
 from dirtyshor.resources import (
     CSV_HEADER,
@@ -104,6 +104,23 @@ def test_modmul_row_checks_both_control_values(monkeypatch, ctrl_value):
     monkeypatch.setattr(resources, "emit_ctrl_modmul", mutant)
     with pytest.raises(SynthesisError, match="verification mismatch"):
         scaling_table([8], harness="modmul")
+
+
+def test_adder_row_checks_dirty_pool_bits(monkeypatch):
+    # a mutant adder that flips x's low bit only where four dirty-pool bits are all 0,
+    # which one random input misses 15 times in 16
+    def mutant(sink, c, bits, pool, ctrls, mode):
+        emit_const_add(sink, c, bits, pool, ctrls, mode)
+        for q in pool[:4]:
+            sink.x(q)
+        LoweringSink(sink, bits[1:2]).mcx(pool[:4], bits[0])
+        for q in pool[:4]:
+            sink.x(q)
+
+    monkeypatch.setattr(resources, "emit_const_add", mutant)
+    for seed in range(4):
+        with pytest.raises(SynthesisError, match="verification mismatch"):
+            scaling_table([8], harness="adder", mode="parallel", seed=seed)
 
 
 def test_scaling_table_memory_error_propagates(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirtyshor.adders import AdderSpec, const_adder
-from dirtyshor.circuits import Circuit, Gate, GateKind
+from dirtyshor.circuits import Circuit, Gate, GateKind, LaneSink
 from dirtyshor.faultlab import SegmentExecutor
 from dirtyshor.revsim import (
     SimulationError,
@@ -53,6 +53,26 @@ def test_run_rejects_oversized_state():
     with pytest.raises(SimulationError):
         run_lanes(circ, [-1])
     assert run_lanes(circ, []) == []
+
+
+def test_run_lanes_packs_only_the_bits_states_use(monkeypatch):
+    # 62-bit states on a width-4096 circuit: no lane is built for the 4000 idle qubits
+    built = []
+    init = LaneSink.__init__
+
+    def record(self, lanes, full):
+        built.append(len(lanes))
+        init(self, lanes, full)
+
+    monkeypatch.setattr(LaneSink, "__init__", record)
+    circ = Circuit(4096)
+    circ.ccx(0, 1, 2)
+    rng = np.random.default_rng(3)
+    states = [random_bits(rng, 62) | 3 for _ in range(8)]
+    want = [s ^ 4 for s in states]
+    assert run_lanes(circ, states) == want
+    assert [run(circ, s) for s in states] == want
+    assert built and max(built) <= 64
 
 
 def test_run_lanes_matches_run_on_gate_ranges():

@@ -30,3 +30,12 @@ def test_reproduce_scaling(tmp_path):
         assert csv[0] == "n,toffoli,depth,seconds"
         assert [row.split(",")[0] for row in csv[1:]] == ["8", "16", "32"]
     assert out.count("fit: toffoli ~=") == 2
+
+
+def test_time_lanes():
+    out = _script("time_lanes.py", "--repeat", "1", "--table-log", "8").splitlines()
+    assert [line.split(":")[0] for line in out] == [
+        "run_lanes width=34 states=4", "run_lanes width=514 states=4",
+        "run_lanes width=4096 states=4", "run_lanes width=4096 states=64",
+        "run width=4096 state_bits=62", "permutation_table inputs=2^8 width=16"]
+    assert "tracemalloc peak" in out[-1]
