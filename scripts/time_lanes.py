@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
-"""Time the lane codec: revsim.run_lanes, revsim.run and permutation_table.
+"""Time the lane codec (revsim.run_lanes, revsim.run, permutation_table) and
+lane-pass fault localization.
 
-Every circuit is one Toffoli on qubits 0, 1 and 2, so the figures are the
-cost of packing states into LaneSink lanes and unpacking them again:
+The codec circuits are one Toffoli on qubits 0, 1 and 2, so those figures
+are the cost of packing states into LaneSink lanes and unpacking them again:
 - run_lanes on random full-width states at widths 34, 514 and 4096;
 - run of one random 62-bit state on a width-4096 circuit;
 - permutation_table on 2^k random states of width 2k for each --table-log
   k (the factoring tables also run sparse inputs at about twice their
   bit length), with the tracemalloc peak of one more, untimed call.
-Each time is per call, the best of --repeat timings. Run with src on PYTHONPATH.
+Then fault_localize of one bitflip on the worst-case controlled multiplier
+at n = 16 (N = 2^16 - 1, the densest a; 86,064 gates) with 1, 4 and 16
+vectors: one lane pass per range, so the time should barely grow with the
+vector count. Each time is per call, the best of --repeat timings (one call
+each for fault_localize). Run with src on PYTHONPATH.
 """
 import argparse
 import sys
@@ -18,6 +23,9 @@ import tracemalloc
 import numpy as np
 
 from dirtyshor.circuits import Circuit
+from dirtyshor.faultlab import FaultSpec, fault_localize, inject, random_vectors
+from dirtyshor.modular import ModMulSpec, ctrl_modmul_inplace
+from dirtyshor.resources import worst_case_modulus, worst_case_multiplier
 from dirtyshor.revsim import permutation_table, random_bits, run, run_lanes
 
 
@@ -67,6 +75,14 @@ def main() -> int:
         tracemalloc.stop()
         print(f"permutation_table inputs=2^{k} width={2 * k}: {dt:.3f} s, "
               f"tracemalloc peak {peak / 2**20:.1f} MiB")
+
+    circ = ctrl_modmul_inplace(ModMulSpec.standard(worst_case_multiplier(16), worst_case_modulus(16)))
+    faults = [FaultSpec("bitflip", len(circ.gates) // 2, 0)]
+    for count in (1, 4, 16):
+        vectors = random_vectors(circ.width, count, seed=count)
+        dt = min(timeit.repeat(lambda: fault_localize(inject(circ, faults), circ, vectors),
+                               number=1, repeat=args.repeat))
+        print(f"fault_localize modmul n=16 bitflip vectors={count}: {dt * 1e3:.1f} ms")
     return 0
 
 

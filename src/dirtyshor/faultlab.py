@@ -10,9 +10,9 @@ exactly one half per level, so the faulty gate index is pinned in
 ceil(log2 G) rounds; multiple faults may flag both halves and come back
 as a list of ranges. The golden states are checkpoints carried down the
 bisection (each range's lo and hi, mid recomputed from lo), so a vector
-never holds more than O(log G) states. Golden (fault-free) passes run all
-vectors as one revsim.run_lanes lane pass per range; the faulty executor
-still takes one counted call per vector.
+never holds more than O(log G) states. Both sides run all vectors in one
+lane pass per range (revsim.run_lanes for the golden states), and the faulty
+pass books one call per vector, up to the first vector that deviates.
 """
 from __future__ import annotations
 
@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, CircuitError, Gate, GateKind, StateSink, emit_circuit, emit_gates
+from .circuits import (Circuit, CircuitError, Gate, GateKind, LaneSink, emit_circuit, emit_gates,
+                       pack_lanes, unpack_lanes)
 # prefix_states has no caller here; perfbench/tracing.py wraps faultlab.prefix_states by name
 from .revsim import prefix_states, random_bits, run_lanes
 
@@ -98,16 +99,16 @@ class SegmentExecutor:
         self._marks = sorted(self._missing | flips.keys())
         self._circuit = circuit
 
-    def run(self, lo: int, hi: int, state: int) -> int:
-        """Apply gates [lo, hi) with faults realized; one counted call.
-
-        The fault-free stretches between fault indices go to one StateSink;
-        a missing gate is left out and a bitflip lands after its gate.
-        """
+    def run(self, lo: int, hi: int, states, until=None):
+        """Apply gates [lo, hi) with faults realized (a missing gate left out,
+        a bitflip an X after its gate) to one int state, or to a list of them
+        in one LaneSink pass. Books one call per state, as hardware would;
+        given until (the expected images), only up to the first that differs."""
         if not 0 <= lo <= hi <= self.n_gates:
             raise FaultError(f"range [{lo}, {hi}) outside 0..{self.n_gates}")
-        self.calls += 1
-        sink = StateSink(state)
+        one = not isinstance(states, list)
+        ins, wants = ([states], [until]) if one else (states, until)
+        sink = LaneSink(pack_lanes(ins), (1 << len(ins)) - 1)
         start = lo
         for idx in self._marks:
             if lo <= idx < hi:
@@ -116,7 +117,10 @@ class SegmentExecutor:
                 emit_gates(self._flips.get(idx, ()), sink)
                 start = idx + 1
         emit_circuit(self._circuit, sink, start, hi)
-        return sink.state
+        outs = unpack_lanes(sink.lanes, ins)
+        differ = [] if until is None else [o != w for o, w in zip(outs, wants)]
+        self.calls += differ.index(True) + 1 if True in differ else len(outs)
+        return outs[0] if one else outs
 
 
 def inject(circuit: Circuit, faults) -> SegmentExecutor:
@@ -130,10 +134,10 @@ def call_bound(n_gates: int, n_vectors: int) -> int:
 
 def fault_detect(executor: SegmentExecutor, circuit: Circuit, vectors) -> int:
     """How many vectors' full-range outputs differ from fault-free sim;
-    0 means the fault set is not detected. One executor call per vector."""
+    0 means the fault set is not detected. One executor pass, one call per vector."""
     values = [int(v) for v in vectors]
-    return sum(executor.run(0, executor.n_gates, v) != o
-               for v, o in zip(values, run_lanes(circuit, values)))
+    golden = run_lanes(circuit, values)  # rejects states beyond the width first
+    return sum(o != g for o, g in zip(executor.run(0, executor.n_gates, values), golden))
 
 
 def fault_localize(executor: SegmentExecutor, circuit: Circuit, vectors) -> list[tuple[int, int]]:
@@ -157,30 +161,31 @@ def fault_localize(executor: SegmentExecutor, circuit: Circuit, vectors) -> list
     budget = call_bound(n_gates, len(values)) + executor.calls
 
     def deviates(lo: int, hi: int, ins: list[int], outs: list[int]) -> bool:
-        return any(executor.run(lo, hi, s) != o for s, o in zip(ins, outs))
+        return executor.run(lo, hi, ins, until=outs) != outs
 
     outs = run_lanes(circuit, values)
     if not deviates(0, n_gates, values, outs):
         raise InconclusiveError("vectors never trigger the fault end to end")
 
+    # depth first, left half first, off a stack: a recursive closure would be
+    # a reference cycle that keeps the executor and circuit alive until gc
     ranges: list[tuple[int, int]] = []
-
-    def descend(lo: int, hi: int, ins: list[int], outs: list[int]) -> None:
+    todo = [(0, n_gates, values, outs)]
+    while todo:
+        lo, hi, ins, outs = todo.pop()
         if hi - lo == 1 or executor.calls + 2 * len(values) > budget:
             ranges.append((lo, hi))
-            return
+            continue
         mid = (lo + hi) // 2
         mids = run_lanes(circuit, ins, lo, mid)
         # test both halves before entering either; some vector deviates on
         # this range from its golden input, so at least one half deviates
         left = deviates(lo, mid, ins, mids)
         right = deviates(mid, hi, mids, outs)
-        if left:
-            descend(lo, mid, ins, mids)
         if right:
-            descend(mid, hi, mids, outs)
-
-    descend(0, n_gates, values, outs)
+            todo.append((mid, hi, mids, outs))
+        if left:
+            todo.append((lo, mid, ins, mids))
     return ranges
 
 

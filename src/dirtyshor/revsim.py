@@ -30,9 +30,10 @@ def run_lanes(circuit: Circuit, states, lo: int = 0, hi: int | None = None):
     """Apply gates [lo, hi) to every basis state at once, one LaneSink lane
     per state: the cost of one pass, whatever the number of states. Python
     int states come back as a list, int64 states as an int64 array."""
-    if np.min(states, initial=0) < 0 or int(np.max(states, initial=0)) >> circuit.width:
+    low = states.min(initial=0) if isinstance(states, np.ndarray) else min(states, default=0)
+    if low < 0 or any((lanes := pack_lanes(states))[circuit.width:]):  # a bit past the width
         raise SimulationError("state has bits beyond the circuit width")
-    sink = LaneSink(pack_lanes(states), (1 << len(states)) - 1)
+    sink = LaneSink(lanes, (1 << len(states)) - 1)
     emit_circuit(circuit, sink, lo, hi)
     return unpack_lanes(sink.lanes, states)
 

@@ -1,6 +1,8 @@
 """Fault injection, detection and budgeted bisection localization."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -162,6 +164,27 @@ def test_executor_random_faults_match_reference(case):
     ex = inject(circ, faults)
     assert ex.run(lo, hi, state) == _reference_run(circ, faults, lo, hi, state)
     assert ex.calls == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(_faulty_segment(), st.data())
+def test_lane_pass_matches_one_state_at_a_time(case, data):
+    circ, faults, lo, hi, _ = case
+    states = data.draw(st.lists(st.integers(0, (1 << circ.width) - 1), max_size=6))
+    one_at_a_time = inject(circ, faults)
+    want = [one_at_a_time.run(lo, hi, s) for s in states]
+    ex = inject(circ, faults)
+    assert ex.run(lo, hi, states) == want
+    assert ex.calls == len(states)
+    # with until, calls stop at the first deviation, as a short-circuiting loop's do
+    golden = [_reference_run(circ, [], lo, hi, s) for s in states]
+    short = inject(circ, faults)
+    for s, g in zip(states, golden):
+        if short.run(lo, hi, s) != g:
+            break
+    ex = inject(circ, faults)
+    assert ex.run(lo, hi, states, until=golden) == want
+    assert ex.calls == short.calls
 
 
 def test_detect_counts_one_call_per_vector():
@@ -389,6 +412,31 @@ def test_budget_and_cancelling_cases_match_prefix_list_localization(targets, fau
     assert ranges == want
 
 
+def test_one_faulty_pass_per_range_whatever_the_vector_count(monkeypatch):
+    circ = const_adder(AdderSpec.standard(64, 2**64 - 1))
+    idx = len(circ.gates) // 3
+    faults = [FaultSpec("bitflip", idx, 0)]
+    passes = []
+    run = SegmentExecutor.run
+
+    def counted(self, lo, hi, *args, **kwargs):
+        passes.append((lo, hi))
+        return run(self, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(SegmentExecutor, "run", counted)
+    seen = set()
+    for count in (1, 4, 16):
+        vectors = random_vectors(circ.width, count, seed=count)
+        ex = inject(circ, faults)
+        passes.clear()
+        ranges = fault_localize(ex, circ, vectors)
+        seen.add(len(passes))
+        reference = inject(circ, faults)
+        assert _prefix_list_localize(reference, circ, vectors) == ranges == [(idx, idx + 1)]
+        assert ex.calls == reference.calls
+    assert len(seen) == 1, f"faulty passes per vector count: {seen}"
+
+
 def test_localize_memory_stays_logarithmic():
     # G+1 prefix states per vector peak near 1.4 MiB here; O(log G)
     # checkpoints of 130-qubit states take about 11 KiB
@@ -404,6 +452,21 @@ def test_localize_memory_stays_logarithmic():
         tracemalloc.stop()
     assert ranges == [(7127, 7128)]
     assert peak < 512 * 1024, f"peak {peak} bytes"
+
+
+def test_localize_leaves_no_reference_cycle():
+    # a cycle would keep the executor and its circuit alive until the next
+    # gc pass, so a faultscan op could still hold the previous op's gates
+    circ = _x_chain(8, range(8))
+    ex = inject(circ, [FaultSpec("missing", 3), FaultSpec("missing", 5)])
+    freed = weakref.ref(ex)
+    gc.disable()
+    try:
+        assert fault_localize(ex, circ, [0, 1]) == [(3, 4), (5, 6)]
+        del ex
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_segment_run_does_not_copy_the_gate_list():

@@ -37,5 +37,6 @@ def test_time_lanes():
     assert [line.split(":")[0] for line in out] == [
         "run_lanes width=34 states=4", "run_lanes width=514 states=4",
         "run_lanes width=4096 states=4", "run_lanes width=4096 states=64",
-        "run width=4096 state_bits=62", "permutation_table inputs=2^8 width=16"]
-    assert "tracemalloc peak" in out[-1]
+        "run width=4096 state_bits=62", "permutation_table inputs=2^8 width=16",
+        *(f"fault_localize modmul n=16 bitflip vectors={v}" for v in (1, 4, 16))]
+    assert "tracemalloc peak" in out[5]
